@@ -21,13 +21,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -127,86 +124,30 @@ func main() {
 		os.Exit(1)
 	}
 
-	var reg *obs.Registry
-	if *statsDump {
-		reg = obs.NewRegistry()
-		fit.Instrument(reg)
-		markov.Instrument(reg)
-		parallel.Instrument(reg)
-		predict.Instrument(reg)
-	}
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
-	if err == nil {
-		err = runExperiments(opts)
-	}
-	stopProfiles()
-	if *statsDump {
-		if serr := json.NewEncoder(os.Stderr).Encode(reg.Snapshot()); serr != nil && err == nil {
-			err = serr
-		}
-	}
+	err := cliflag.Diagnose("ckpt-experiments", *cpuprofile, *memprofile, *statsDump,
+		[]func(*obs.Registry){fit.Instrument, markov.Instrument, parallel.Instrument, predict.Instrument},
+		func() error {
+			return cliflag.Traced(opts.tracePath, func(tracer *obs.Tracer) error { return runExperiments(opts, tracer) })
+		})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ckpt-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-// startProfiles begins CPU profiling and arranges a heap snapshot; the
-// returned stop function must run before exit (os.Exit skips defers,
-// so main sequences it explicitly).
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	stop = func() {}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return stop, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return stop, err
-		}
-		stop = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if memPath != "" {
-		cpuStop := stop
-		stop = func() {
-			cpuStop()
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ckpt-experiments: memprofile:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ckpt-experiments: memprofile:", err)
-			}
-			f.Close()
-		}
-	}
-	return stop, nil
-}
-
-func runExperiments(opts options) error {
+// runExperiments runs the selected experiments. One tracer (nil = off)
+// serves the whole invocation: schedule builds claim lanes in markov's
+// reserved band, and each live campaign gets its own
+// TraceCampaignStride-wide block of sample lanes.
+func runExperiments(opts options, tracer *obs.Tracer) error {
 	which := strings.ToLower(opts.which)
 	machines, months, samples := opts.machines, opts.months, opts.samples
-	seed, csvDir, concurrency, tracePath := opts.seed, opts.csvDir, opts.concurrency, opts.tracePath
-	// One tracer serves the whole invocation: schedule builds claim
-	// lanes in markov's reserved band, and each live campaign gets its
-	// own TraceCampaignStride-wide block of sample lanes.
-	var tracer *obs.Tracer
+	seed, csvDir, concurrency := opts.seed, opts.csvDir, opts.concurrency
 	var nextTraceBase uint64
 	traceBase := func(slots uint64) uint64 {
 		b := nextTraceBase
 		nextTraceBase += slots * experiments.TraceCampaignStride
 		return b
-	}
-	if tracePath != "" {
-		tracer = obs.NewTracer(obs.TracerOptions{FullFidelity: true})
-		markov.Trace(tracer)
-		defer markov.Trace(nil)
 	}
 	want := func(names ...string) bool {
 		if which == "all" {
@@ -394,7 +335,7 @@ func runExperiments(opts options) error {
 		}
 		fmt.Println(experiments.RenderLiveTable(t5))
 	}
-	return tracer.WriteFile(tracePath)
+	return nil
 }
 
 // writeCSV writes content into dir/name, creating dir; empty dir means

@@ -34,7 +34,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,20 +96,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ckpt-load:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ckpt-load:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	res, err := run(cfg)
+	var res result
+	err := cliflag.Diagnose("ckpt-load", *cpuprofile, "", false, nil, func() (err error) {
+		res, err = run(cfg)
+		return err
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ckpt-load:", err)
 		os.Exit(1)

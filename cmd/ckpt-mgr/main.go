@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -141,45 +140,18 @@ type metricsServer struct {
 	stopScraper func()
 }
 
-// startMetricsServer binds addr and serves the observability mux:
-// Prometheus /metrics, windowed series at /metrics/history (when a
-// history is attached — its wall-clock self-scraper starts here and
-// stops with the server), expvar /debug/vars, a /healthz liveness
-// probe, (when a tracer is attached) the flight recorder's ring as
-// Chrome-trace JSON at /debug/trace/snapshot, and optionally
-// net/http/pprof under /debug/pprof/.
+// startMetricsServer binds addr and serves obs.NewOpsMux — the route
+// table ckpt-served shares. A history's wall-clock self-scraper starts
+// here and stops with the server.
 func startMetricsServer(addr string, reg *obs.Registry, tracer *obs.Tracer, hist *obs.History, pprofOn bool) (*metricsServer, error) {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	if tracer != nil {
-		mux.Handle("/debug/trace/snapshot", tracer.SnapshotHandler())
-	}
-	var stopScraper func()
-	if hist != nil {
-		mux.Handle("/metrics/history", hist.Handler())
-		stopScraper = hist.StartScraper()
-	}
-	if pprofOn {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	stopScraper := hist.StartScraper() // nil-safe: no history, no-op stop
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		if stopScraper != nil {
-			stopScraper()
-		}
+		stopScraper()
 		return nil, err
 	}
 	ms := &metricsServer{
-		srv:         &http.Server{Handler: mux},
+		srv:         &http.Server{Handler: obs.NewOpsMux(reg, tracer, hist, pprofOn)},
 		ln:          ln,
 		done:        make(chan struct{}),
 		stopScraper: stopScraper,
@@ -200,9 +172,7 @@ func (ms *metricsServer) Addr() net.Addr { return ms.ln.Addr() }
 // requests drain until ctx expires, and the serve goroutine has exited
 // by the time it returns.
 func (ms *metricsServer) Shutdown(ctx context.Context) error {
-	if ms.stopScraper != nil {
-		ms.stopScraper()
-	}
+	ms.stopScraper()
 	err := ms.srv.Shutdown(ctx)
 	<-ms.done
 	return err

@@ -31,7 +31,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -84,19 +83,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	var reg *obs.Registry
-	if *statsDump {
-		reg = obs.NewRegistry()
-		parallel.Instrument(reg)
-		markov.Instrument(reg)
-		predict.Instrument(reg)
-	}
-	err := run(*workers, *shards, *link, *mb, *hours, *shape, *scale, *seed, *seeds, *maxprocs, policies, *tracePath)
-	if *statsDump {
-		if serr := json.NewEncoder(os.Stderr).Encode(reg.Snapshot()); serr != nil && err == nil {
-			err = serr
-		}
-	}
+	err := cliflag.Diagnose("ckpt-parallel", "", "", *statsDump,
+		[]func(*obs.Registry){parallel.Instrument, markov.Instrument, predict.Instrument},
+		func() error {
+			return cliflag.Traced(*tracePath, func(tracer *obs.Tracer) error {
+				return run(*workers, *shards, *link, *mb, *hours, *shape, *scale, *seed, *seeds, *maxprocs, policies, tracer)
+			})
+		})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ckpt-parallel:", err)
 		os.Exit(1)
@@ -127,15 +120,9 @@ func parsePolicies(list string, pcfg predict.Config) ([]parallel.GridPolicy, err
 	return out, nil
 }
 
-func run(workers, shards int, link, mb, hours, shape, scale float64, seed int64, seeds, maxprocs int, policies []parallel.GridPolicy, tracePath string) error {
+func run(workers, shards int, link, mb, hours, shape, scale float64, seed int64, seeds, maxprocs int, policies []parallel.GridPolicy, tracer *obs.Tracer) error {
 	avail := dist.NewWeibull(shape, scale)
 	expFit := dist.NewExponential(1 / avail.Mean())
-	var tracer *obs.Tracer
-	if tracePath != "" {
-		tracer = obs.NewTracer(obs.TracerOptions{FullFidelity: true})
-		markov.Trace(tracer)
-		defer markov.Trace(nil)
-	}
 	grid, err := parallel.RunGrid(parallel.GridConfig{
 		Base: parallel.Config{
 			Workers:      workers,
@@ -172,16 +159,20 @@ func run(workers, shards int, link, mb, hours, shape, scale float64, seed int64,
 	if seeds > 1 {
 		effWidth = 16
 	}
-	// The policy column only appears when the axis is explicit, so the
-	// default table stays byte-identical to the pre-axis layout.
+	// The policy and migration columns only appear when the axis is
+	// explicit, so the default table stays byte-identical to the
+	// pre-axis layout.
 	withPolicy := len(policies) > 0
+	fmt.Printf("%-12s ", "model")
 	if withPolicy {
-		fmt.Printf("%-12s %-10s %-8s %*s %10s %12s %9s %12s %12s %6s %8s\n",
-			"model", "policy", "stagger", effWidth, "efficiency", "commits", "network MB", "stretch", "collisions", "queue-wait s", "migr", "migr MB")
-	} else {
-		fmt.Printf("%-12s %-8s %*s %10s %12s %9s %12s %12s\n",
-			"model", "stagger", effWidth, "efficiency", "commits", "network MB", "stretch", "collisions", "queue-wait s")
+		fmt.Printf("%-10s ", "policy")
 	}
+	fmt.Printf("%-8s %*s %10s %12s %9s %12s %12s",
+		"stagger", effWidth, "efficiency", "commits", "network MB", "stretch", "collisions", "queue-wait s")
+	if withPolicy {
+		fmt.Printf(" %6s %8s", "migr", "migr MB")
+	}
+	fmt.Println()
 	for i := range grid.Cells {
 		c := &grid.Cells[i]
 		eff := c.Efficiency()
@@ -190,32 +181,28 @@ func run(workers, shards int, link, mb, hours, shape, scale float64, seed int64,
 			effCol = fmt.Sprintf("%.3f±%.3f", eff.Mean, eff.HalfWidth)
 		}
 		mean := func(f func(parallel.Result) float64) float64 { return c.Metric(f).Mean }
+		fmt.Printf("%-12s ", c.Model)
 		if withPolicy {
-			fmt.Printf("%-12s %-10s %-8s %*s %10.0f %12.0f %8.2fx %12.0f %12.0f %6.0f %8.0f\n",
-				c.Model, c.Policy, c.Stagger, effWidth, effCol,
-				mean(func(r parallel.Result) float64 { return float64(r.Commits) }),
-				mean(func(r parallel.Result) float64 { return r.MBMoved }),
-				mean(parallel.Result.CollisionStretch),
-				mean(func(r parallel.Result) float64 { return float64(r.Collisions) }),
-				mean(func(r parallel.Result) float64 { return r.QueueWaitSec }),
-				mean(func(r parallel.Result) float64 { return float64(r.Migrations) }),
-				mean(func(r parallel.Result) float64 { return r.MigrationMB }),
-			)
-		} else {
-			fmt.Printf("%-12s %-8s %*s %10.0f %12.0f %8.2fx %12.0f %12.0f\n",
-				c.Model, c.Stagger, effWidth, effCol,
-				mean(func(r parallel.Result) float64 { return float64(r.Commits) }),
-				mean(func(r parallel.Result) float64 { return r.MBMoved }),
-				mean(parallel.Result.CollisionStretch),
-				mean(func(r parallel.Result) float64 { return float64(r.Collisions) }),
-				mean(func(r parallel.Result) float64 { return r.QueueWaitSec }),
-			)
+			fmt.Printf("%-10s ", c.Policy)
 		}
+		fmt.Printf("%-8s %*s %10.0f %12.0f %8.2fx %12.0f %12.0f",
+			c.Stagger, effWidth, effCol,
+			mean(func(r parallel.Result) float64 { return float64(r.Commits) }),
+			mean(func(r parallel.Result) float64 { return r.MBMoved }),
+			mean(parallel.Result.CollisionStretch),
+			mean(func(r parallel.Result) float64 { return float64(r.Collisions) }),
+			mean(func(r parallel.Result) float64 { return r.QueueWaitSec }))
+		if withPolicy {
+			fmt.Printf(" %6.0f %8.0f",
+				mean(func(r parallel.Result) float64 { return float64(r.Migrations) }),
+				mean(func(r parallel.Result) float64 { return r.MigrationMB }))
+		}
+		fmt.Println()
 	}
 	if fb := sumFallbacks(grid); fb > 0 {
 		fmt.Printf("\nschedule fallbacks: %d intervals served beyond the planned schedule\n", fb)
 	}
-	return tracer.WriteFile(tracePath)
+	return nil
 }
 
 func sumFallbacks(g *parallel.Grid) int {

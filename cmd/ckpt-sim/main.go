@@ -18,9 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
+	"github.com/cycleharvest/ckptsched/internal/cliflag"
 	"github.com/cycleharvest/ckptsched/internal/dist"
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/markov"
@@ -62,64 +61,13 @@ func main() {
 	statsDump := flag.Bool("stats", false, "print the final metrics-registry snapshot as JSON on stderr")
 	flag.Parse()
 
-	var reg *obs.Registry
-	if *statsDump {
-		reg = obs.NewRegistry()
-		fit.Instrument(reg)
-		markov.Instrument(reg)
-	}
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
-	if err == nil {
-		err = run(opts)
-	}
-	stopProfiles()
-	if *statsDump {
-		if serr := json.NewEncoder(os.Stderr).Encode(reg.Snapshot()); serr != nil && err == nil {
-			err = serr
-		}
-	}
+	err := cliflag.Diagnose("ckpt-sim", *cpuprofile, *memprofile, *statsDump,
+		[]func(*obs.Registry){fit.Instrument, markov.Instrument},
+		func() error { return run(opts) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ckpt-sim:", err)
 		os.Exit(1)
 	}
-}
-
-// startProfiles begins CPU profiling and arranges a heap snapshot; the
-// returned stop function must run before exit (os.Exit skips defers,
-// so main sequences it explicitly).
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	stop = func() {}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return stop, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return stop, err
-		}
-		stop = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if memPath != "" {
-		cpuStop := stop
-		stop = func() {
-			cpuStop()
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ckpt-sim: memprofile:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ckpt-sim: memprofile:", err)
-			}
-			f.Close()
-		}
-	}
-	return stop, nil
 }
 
 // loadWorkload returns the availability set: the -avail CSV when
@@ -149,6 +97,10 @@ func loadWorkload(availPath string, seed int64) (*trace.Set, error) {
 }
 
 func run(opts options) error {
+	return cliflag.Traced(opts.tracePath, func(tracer *obs.Tracer) error { return simulate(opts, tracer) })
+}
+
+func simulate(opts options, tracer *obs.Tracer) error {
 	set, err := loadWorkload(opts.availPath, opts.seed)
 	if err != nil {
 		return err
@@ -156,12 +108,6 @@ func run(opts options) error {
 	traces := set.WithAtLeast(opts.minRec)
 	if len(traces) == 0 {
 		return fmt.Errorf("no machine has >= %d records", opts.minRec)
-	}
-	var tracer *obs.Tracer
-	if opts.tracePath != "" {
-		tracer = obs.NewTracer(obs.TracerOptions{FullFidelity: true})
-		markov.Trace(tracer)
-		defer markov.Trace(nil)
 	}
 	cfg := sim.Config{
 		Costs:        markov.Costs{C: opts.c, R: opts.c, L: opts.c},
@@ -228,11 +174,9 @@ func run(opts options) error {
 			model, effCI.Mean, effCI.HalfWidth, mbCI.Mean, mbCI.HalfWidth)
 	}
 	if histories != nil {
-		if err := writeHistories(opts.historyPath, histories); err != nil {
-			return err
-		}
+		return writeHistories(opts.historyPath, histories)
 	}
-	return tracer.WriteFile(opts.tracePath)
+	return nil
 }
 
 // writeHistories dumps the per-run history snapshots as one JSON

@@ -42,9 +42,6 @@ type FaultConfig struct {
 	// checkpoint data fails CRC verification and is rejected without
 	// touching the last good image.
 	CorruptProb float64
-	// PartialProb writes only a prefix of the buffer while reporting
-	// the full length, tearing the frame stream mid-frame.
-	PartialProb float64
 
 	// StallProb sleeps Stall before the operation proceeds. Combined
 	// with per-frame deadlines, a stall longer than the deadline looks
@@ -292,14 +289,6 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		c.noteWritten(len(b))
 		return len(b), nil
 	}
-	if cfg.PartialProb > 0 && c.roll() < cfg.PartialProb && len(b) > 1 {
-		c.inject("partial", len(b)/2)
-		if _, err := c.Conn.Write(b[:len(b)/2]); err != nil {
-			return 0, err
-		}
-		c.noteWritten(len(b))
-		return len(b), nil
-	}
 	if cfg.CorruptProb > 0 && c.roll() < cfg.CorruptProb {
 		c.inject("corrupt", len(b))
 		b = c.corrupt(b)
@@ -355,26 +344,19 @@ type LinkFaultConfig struct {
 	// MaxAttempts bounds transfer retries before the process degrades
 	// (default 3).
 	MaxAttempts int
-	// BackoffBaseSec and BackoffMaxSec shape the exponential backoff
-	// between attempts, in virtual seconds (defaults 5 and 60).
-	BackoffBaseSec float64
-	BackoffMaxSec  float64
-	// JitterFrac randomizes each backoff by ±JitterFrac (default 0.25).
-	JitterFrac float64
 }
+
+// The exponential backoff between chaotic transfer attempts, in virtual
+// seconds: 5 s doubling to 60 s, each randomized by ±25%.
+const (
+	linkBackoffBaseSec = 5.0
+	linkBackoffMaxSec  = 60.0
+	linkBackoffJitter  = 0.25
+)
 
 func (f *LinkFaultConfig) setDefaults() {
 	if f.MaxAttempts <= 0 {
 		f.MaxAttempts = 3
-	}
-	if f.BackoffBaseSec <= 0 {
-		f.BackoffBaseSec = 5
-	}
-	if f.BackoffMaxSec <= 0 {
-		f.BackoffMaxSec = 60
-	}
-	if f.JitterFrac <= 0 {
-		f.JitterFrac = 0.25
 	}
 }
 
@@ -441,18 +423,12 @@ func (c ChaosLink) MaxAttempts() int {
 // BackoffSec returns the jittered exponential backoff before retry
 // attempt (1-based), in virtual seconds.
 func (c ChaosLink) BackoffSec(attempt int, rng *rand.Rand) float64 {
-	f := c.Faults
-	f.setDefaults()
-	b := f.BackoffBaseSec
-	for i := 1; i < attempt; i++ {
+	b := linkBackoffBaseSec
+	for i := 1; i < attempt && b < linkBackoffMaxSec; i++ {
 		b *= 2
-		if b >= f.BackoffMaxSec {
-			b = f.BackoffMaxSec
-			break
-		}
 	}
-	if b > f.BackoffMaxSec {
-		b = f.BackoffMaxSec
+	if b > linkBackoffMaxSec {
+		b = linkBackoffMaxSec
 	}
-	return b * (1 + f.JitterFrac*(2*rng.Float64()-1))
+	return b * (1 + linkBackoffJitter*(2*rng.Float64()-1))
 }

@@ -167,46 +167,53 @@ func (l *SessionLog) Summarize() Summary {
 	defer l.mu.Unlock()
 	var s Summary
 	for _, e := range l.Events {
-		switch e.Kind {
-		case EvRecoveryDone:
-			// Value is the wire byte count for content-mode transfers;
-			// legacy events carry 0 and bill the assigned image size.
-			s.Recoveries++
-			if e.Value > 0 {
-				s.BytesMoved += int64(e.Value)
-			} else {
-				s.BytesMoved += l.CheckpointBytes
-			}
-		case EvCheckpointDone:
-			s.Checkpoints++
-			if e.Value > 0 {
-				s.BytesMoved += int64(e.Value)
-			} else {
-				s.BytesMoved += l.CheckpointBytes
-			}
-		case EvDeltaCheckpointDone:
-			// Delta wire bytes are exact, including a legitimate 0 for a
-			// fully deduped image.
-			s.Checkpoints++
-			s.DeltaCheckpoints++
-			s.BytesMoved += int64(e.Value)
-		case EvRecoveryInterrupted, EvCheckpointInterrupted:
-			s.Interrupted++
-			s.BytesMoved += int64(e.Value)
-		case EvHeartbeat:
-			s.Heartbeats++
-			if e.Value > s.LastHeartbeat {
-				s.LastHeartbeat = e.Value
-			}
-		case EvTopt:
-			s.ToptReports++
-		case EvRetry:
-			s.Retries++
-		case EvTornFrame:
-			s.TornFrames++
-		case EvFallback:
-			s.Fallbacks++
-		}
+		s.add(e.Kind, e.Value, l.CheckpointBytes)
 	}
 	return s
+}
+
+// add books one event into the summary. It is the single definition of
+// what each event kind counts for: Summarize folds a whole log through
+// it and Manager.record one event at a time into the live counters,
+// which is what makes /metrics reconcile exactly with the summed
+// per-session summaries. imageBytes is the session's assigned image
+// size.
+func (s *Summary) add(kind EventKind, value float64, imageBytes int64) {
+	switch kind {
+	case EvRecoveryDone, EvCheckpointDone:
+		// Value is the wire byte count for content-mode transfers;
+		// legacy events carry 0 and bill the assigned image size.
+		if kind == EvRecoveryDone {
+			s.Recoveries++
+		} else {
+			s.Checkpoints++
+		}
+		if value > 0 {
+			s.BytesMoved += int64(value)
+		} else {
+			s.BytesMoved += imageBytes
+		}
+	case EvDeltaCheckpointDone:
+		// Delta wire bytes are exact, including a legitimate 0 for a
+		// fully deduped image.
+		s.Checkpoints++
+		s.DeltaCheckpoints++
+		s.BytesMoved += int64(value)
+	case EvRecoveryInterrupted, EvCheckpointInterrupted:
+		s.Interrupted++
+		s.BytesMoved += int64(value)
+	case EvHeartbeat:
+		s.Heartbeats++
+		if value > s.LastHeartbeat {
+			s.LastHeartbeat = value
+		}
+	case EvTopt:
+		s.ToptReports++
+	case EvRetry:
+		s.Retries++
+	case EvTornFrame:
+		s.TornFrames++
+	case EvFallback:
+		s.Fallbacks++
+	}
 }

@@ -54,9 +54,6 @@ type Options struct {
 	// compression doesn't make loopback scheduling jitter look like a
 	// failure (default 2 s).
 	MinFrameTimeout time.Duration
-	// WriteTimeout is the per-Write deadline for frames and data
-	// chunks (default 30 s).
-	WriteTimeout time.Duration
 	// WrapConn, when set, wraps every accepted connection — the hook
 	// the FaultInjector uses.
 	WrapConn func(net.Conn) net.Conn
@@ -72,6 +69,10 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
+// managerWriteTimeout is the manager's per-Write deadline for frames
+// and data chunks.
+const managerWriteTimeout = 30 * time.Second
+
 func (o *Options) setDefaults() {
 	if o.HelloTimeout <= 0 {
 		o.HelloTimeout = 30 * time.Second
@@ -84,9 +85,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MinFrameTimeout <= 0 {
 		o.MinFrameTimeout = 2 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
 	}
 }
 
@@ -337,7 +335,7 @@ func (m *Manager) serve(conn net.Conn) {
 	rw := &deadlineRW{
 		conn:         conn,
 		ReadTimeout:  m.opts.HelloTimeout,
-		WriteTimeout: m.opts.WriteTimeout,
+		WriteTimeout: managerWriteTimeout,
 	}
 	var hello Hello
 	t, err := ReadFrame(rw, &hello)

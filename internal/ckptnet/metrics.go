@@ -72,47 +72,29 @@ func newManagerMetrics(r *obs.Registry) managerMetrics {
 	}
 }
 
-// record appends the event to the session log, bumps the matching
-// manager counter, and returns the event's sequence id (for trace
-// correlation). The switch below must mirror SessionLog.Summarize
-// case for case — that shared structure, not an after-the-fact export,
-// is what makes the registry reconcile exactly with the summed
-// per-session summaries.
+// record appends the event to the session log, bumps the manager
+// counters by what Summary.add books for it — the one definition
+// SessionLog.Summarize shares — and returns the event's sequence id (for
+// trace correlation).
 func (m *Manager) record(l *SessionLog, kind EventKind, value float64) int64 {
 	seq := l.Add(kind, value)
+	var d Summary
+	d.add(kind, value, l.CheckpointBytes)
 	mm := &m.metrics
-	switch kind {
-	case EvRecoveryDone:
-		mm.recoveries.Inc()
-		if value > 0 {
-			mm.bytesMoved.Add(uint64(value))
-		} else {
-			mm.bytesMoved.Add(uint64(l.CheckpointBytes))
+	bump := func(c *obs.Counter, n int64) {
+		if n != 0 { // most kinds touch one or two counters; skip the idle atomics
+			c.Add(uint64(n))
 		}
-	case EvCheckpointDone:
-		mm.checkpoints.Inc()
-		if value > 0 {
-			mm.bytesMoved.Add(uint64(value))
-		} else {
-			mm.bytesMoved.Add(uint64(l.CheckpointBytes))
-		}
-	case EvDeltaCheckpointDone:
-		mm.checkpoints.Inc()
-		mm.deltaCheckpoints.Inc()
-		mm.bytesMoved.Add(uint64(value))
-	case EvRecoveryInterrupted, EvCheckpointInterrupted:
-		mm.interrupted.Inc()
-		mm.bytesMoved.Add(uint64(value))
-	case EvHeartbeat:
-		mm.heartbeats.Inc()
-	case EvTopt:
-		mm.toptReports.Inc()
-	case EvRetry:
-		mm.retries.Inc()
-	case EvTornFrame:
-		mm.tornFrames.Inc()
-	case EvFallback:
-		mm.fallbacks.Inc()
 	}
+	bump(mm.recoveries, int64(d.Recoveries))
+	bump(mm.checkpoints, int64(d.Checkpoints))
+	bump(mm.deltaCheckpoints, int64(d.DeltaCheckpoints))
+	bump(mm.interrupted, int64(d.Interrupted))
+	bump(mm.bytesMoved, d.BytesMoved)
+	bump(mm.heartbeats, int64(d.Heartbeats))
+	bump(mm.toptReports, int64(d.ToptReports))
+	bump(mm.retries, int64(d.Retries))
+	bump(mm.tornFrames, int64(d.TornFrames))
+	bump(mm.fallbacks, int64(d.Fallbacks))
 	return seq
 }

@@ -28,12 +28,13 @@ type RetryPolicy struct {
 	// each further retry doubles it up to BackoffMax (default 10 s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// JitterFrac randomizes each backoff by ±JitterFrac to avoid
-	// synchronized reconnect storms (default 0.2).
-	JitterFrac float64
 	// Seed makes the jitter deterministic (0 derives one from JobID).
 	Seed int64
 }
+
+// retryJitter randomizes each reconnect backoff by ±20% to avoid
+// synchronized reconnect storms.
+const retryJitter = 0.2
 
 func (p *RetryPolicy) setDefaults() {
 	if p.BackoffBase <= 0 {
@@ -41,9 +42,6 @@ func (p *RetryPolicy) setDefaults() {
 	}
 	if p.BackoffMax <= 0 {
 		p.BackoffMax = 10 * time.Second
-	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = 0.2
 	}
 }
 
@@ -56,9 +54,13 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 	if d > p.BackoffMax {
 		d = p.BackoffMax
 	}
-	jitter := 1 + p.JitterFrac*(2*rng.Float64()-1)
+	jitter := 1 + retryJitter*(2*rng.Float64()-1)
 	return time.Duration(float64(d) * jitter)
 }
+
+// maxCkptRetries bounds in-connection checkpoint retransmissions after
+// the manager rejects a corrupt image.
+const maxCkptRetries = 3
 
 // ProcessConfig configures one instrumented test process (§5.2).
 type ProcessConfig struct {
@@ -85,9 +87,6 @@ type ProcessConfig struct {
 	// Retry controls session-level recovery from transport failures
 	// (zero = fail fast).
 	Retry RetryPolicy
-	// MaxCkptRetries bounds in-connection checkpoint retransmissions
-	// after the manager rejects a corrupt image (default 3).
-	MaxCkptRetries int
 	// WrapConn, when set, wraps the dialed connection — the hook the
 	// FaultInjector uses to inject process-side faults.
 	WrapConn func(net.Conn) net.Conn
@@ -180,9 +179,6 @@ type procState struct {
 func RunProcess(ctx context.Context, cfg ProcessConfig) (*ProcessReport, error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
-	}
-	if cfg.MaxCkptRetries <= 0 {
-		cfg.MaxCkptRetries = 3
 	}
 	pol := cfg.Retry
 	pol.setDefaults()
@@ -434,7 +430,7 @@ func runSession(ctx context.Context, cfg ProcessConfig, rep *ProcessReport, st *
 			}
 			if t == MsgCheckpointNack {
 				rep.CkptRetries++
-				if try+1 >= cfg.MaxCkptRetries {
+				if try+1 >= maxCkptRetries {
 					return fmt.Errorf("ckptnet: checkpoint rejected %d times: %w", try+1, ErrMalformedFrame)
 				}
 				if begin.Mode == ModeDelta {

@@ -2,7 +2,8 @@
 // starts. Contradictory flags — a negative drop probability, a zero
 // machine count — fail fast with one aggregated, per-flag error
 // message instead of being silently clamped into a run the user did
-// not ask for.
+// not ask for. It also holds the diagnostics plumbing the CLIs share
+// (diag.go: -cpuprofile, -memprofile, -stats, -trace).
 package cliflag
 
 import (

@@ -395,7 +395,7 @@ func TestRunChaosExperiment(t *testing.T) {
 	if r.Predict == nil {
 		t.Fatal("missing prediction-enabled table")
 	}
-	if r.PredFired == 0 {
+	if r.Predictions == 0 {
 		t.Error("predict campaign fired no alarms")
 	}
 	if r.PredictEfficiency <= 0 || r.PredictEfficiency > 1 {

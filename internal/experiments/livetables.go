@@ -145,7 +145,7 @@ func RunValidation(w *Workload, camp *live.Campaign) (*ValidationResult, error) 
 	if w == nil || camp == nil {
 		return nil, errors.New("experiments: validation needs a workload and a campaign")
 	}
-	rows, err := live.Validate(camp, w.History, 0)
+	rows, err := live.Validate(camp, w.History)
 	if err != nil {
 		return nil, err
 	}
@@ -209,13 +209,10 @@ type ChaosResult struct {
 	// retries.
 	Retries, Torn, Fallbacks int
 	BackoffSec               float64
-	// PredFired, PredHits, PredFalse and PredMissed are the third
-	// campaign's predictor score card; Migrations and MigrationMB count
-	// its completed prediction-triggered migrations and the bytes they
-	// moved.
-	PredFired, PredHits, PredFalse, PredMissed int
-	Migrations                                 int
-	MigrationMB                                float64
+	// Ledger is the third campaign's predictor score card: alarms,
+	// hits and misses, and its completed prediction-triggered
+	// migrations with the bytes they moved.
+	predict.Ledger
 	// Sessions is the number of completed sessions in each campaign.
 	Sessions int
 }
@@ -308,8 +305,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	res.CleanEfficiency, res.CleanMBPerHour = campaignAggregates(cleanCamp)
 	res.ChaosEfficiency, res.ChaosMBPerHour = campaignAggregates(chaosCamp)
 	res.PredictEfficiency, res.PredictMBPerHour = campaignAggregates(predictCamp)
-	res.PredFired, res.PredHits, res.PredFalse, res.PredMissed,
-		_, res.Migrations, res.MigrationMB = predictCamp.PredictionTotals()
+	res.Ledger = predictCamp.PredictionTotals()
 	return res, nil
 }
 

@@ -222,7 +222,7 @@ func RenderChaos(r *ChaosResult) string {
 		r.Retries, r.Torn, r.Fallbacks, r.BackoffSec)
 	if r.Predict != nil {
 		fmt.Fprintf(&b, "Prediction (%s, policy %s): %d alarms fired (%d hits, %d false, %d missed), %d migrations moving %.0f MB\n",
-			r.PredictConfig, r.Policy, r.PredFired, r.PredHits, r.PredFalse, r.PredMissed,
+			r.PredictConfig, r.Policy, r.Predictions, r.PredHits, r.PredFalse, r.PredMissed,
 			r.Migrations, r.MigrationMB)
 	}
 	return b.String()

@@ -1,9 +1,11 @@
 package live
 
 import (
+	"math"
 	"testing"
 
 	"github.com/cycleharvest/ckptsched/internal/ckptnet"
+	"github.com/cycleharvest/ckptsched/internal/obs"
 )
 
 // totalsOf sums the campaign counters a delta comparison cares about.
@@ -156,5 +158,63 @@ func TestRunCampaignVariableCostRequiresDelta(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("VariableCost without Enabled should be rejected")
+	}
+}
+
+// TestEvictionMidDeltaChargesTheDelta pins the eviction accounting for
+// delta transfers: a checkpoint interrupted by the owner's reclaim is
+// billed for the fraction of the *delta* that crossed the wire, never
+// for a fraction of the full image. Each session's interrupted charge
+// is what MBMoved holds beyond its completed transfers (the trace
+// spans carry those); for a session evicted mid-checkpoint the lost
+// work is exactly the window the delta covered, which bounds its size.
+func TestEvictionMidDeltaChargesTheDelta(t *testing.T) {
+	machines, history := testbed(t, 16, 11)
+	const dirtyRate, imageMB = 0.0001, 500.0 // deltas ≈ 10% of the image, so a full-image proration stands out
+	tr := obs.NewTracer(obs.TracerOptions{FullFidelity: true, RingCapacity: -1})
+	camp, err := RunCampaign(CampaignConfig{
+		Machines:        machines,
+		History:         history,
+		Link:            ckptnet.CampusLink(),
+		CheckpointMB:    imageMB,
+		SamplesPerModel: 12,
+		Seed:            11,
+		Delta:           DeltaPolicy{Enabled: true, DirtyRate: dirtyRate},
+		Tracer:          tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doneMB := make(map[uint64]float64) // completed transfers per session lane
+	recovered := make(map[uint64]bool) // the session's recovery completed
+	for _, e := range tr.Events() {
+		if e.Name != "transfer.recovery" && e.Name != "transfer.checkpoint" {
+			continue
+		}
+		for _, a := range e.Attrs {
+			if a.Key == "mb" {
+				doneMB[e.Pid] += a.Value().(float64)
+			}
+		}
+		if e.Name == "transfer.recovery" {
+			recovered[e.Pid] = true
+		}
+	}
+	midDelta := 0
+	for i, s := range camp.Samples {
+		pid := uint64(i) + 1
+		charged := s.MBMoved - doneMB[pid]
+		if !recovered[pid] || charged < 1e-9 {
+			continue // evicted mid-recovery (a full image) or while computing
+		}
+		midDelta++
+		deltaMB := imageMB * -math.Expm1(-dirtyRate*s.LostWork)
+		if limit := deltaMB + 64.0/1024; charged > limit { // + one chunk of rounding
+			t.Errorf("sample %d: eviction mid-delta charged %.1f MB, but the delta over %.0f s of work is only %.1f MB",
+				i, charged, s.LostWork, deltaMB)
+		}
+	}
+	if midDelta == 0 {
+		t.Fatal("no session was evicted mid-delta; pick a seed that exercises the path")
 	}
 }

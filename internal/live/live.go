@@ -71,9 +71,6 @@ type CampaignConfig struct {
 	// SamplesPerModel is how many test-process runs to collect per
 	// model family.
 	SamplesPerModel int
-	// MinHistory is the minimum records needed to fit a machine's own
-	// trace; machines with less use the pooled trace. Default 25.
-	MinHistory int
 	// RequiresMB is the job's memory requirement. Default 512 (the
 	// paper's test application holds a 500 MB image).
 	RequiresMB int
@@ -143,9 +140,6 @@ type CampaignConfig struct {
 type DeltaPolicy struct {
 	// Enabled turns delta checkpointing on.
 	Enabled bool
-	// ChunkKB is the dedup chunk size in KiB (default 64, matching
-	// imagestore.DefaultChunkSize).
-	ChunkKB int
 	// DirtyRate is the per-chunk dirtying rate in 1/seconds (default
 	// 0.002: a chunk's expected untouched lifetime is ~8 minutes).
 	DirtyRate float64
@@ -157,13 +151,7 @@ type DeltaPolicy struct {
 }
 
 func (c *CampaignConfig) setDefaults() {
-	if c.MinHistory <= 0 {
-		c.MinHistory = trace.DefaultTrainingSize
-	}
 	if c.Delta.Enabled {
-		if c.Delta.ChunkKB <= 0 {
-			c.Delta.ChunkKB = 64
-		}
 		if c.Delta.DirtyRate <= 0 {
 			c.Delta.DirtyRate = 0.002
 		}
@@ -221,15 +209,10 @@ type Sample struct {
 	// BackoffSec is total virtual time spent waiting between transfer
 	// retries.
 	BackoffSec float64
-	// Predictions counts predictor alarms fired during the session
-	// (true and false); PredHits/PredMissed record whether the eviction
-	// arrived warned or unwarned, and PredFalse counts false alarms.
-	Predictions, PredHits, PredFalse, PredMissed int
-	// ProactiveCkpts counts alarm-triggered checkpoints that committed;
-	// Migrations counts completed prediction-triggered migrations and
-	// MigrationMB the megabytes they moved (a subset of MBMoved).
-	ProactiveCkpts, Migrations int
-	MigrationMB                float64
+	// Ledger is the session's predictor score card (alarms fired, hit or
+	// missed eviction, proactive checkpoints, migrations; MigrationMB
+	// is a subset of MBMoved). All zero without a predictor.
+	predict.Ledger
 	// Migrated reports that the session ended by migrating off the
 	// machine before the owner's reclaim rather than by eviction.
 	Migrated bool
@@ -276,20 +259,15 @@ func (c *Campaign) ChaosTotals() (retries, torn, fallbacks int, backoffSec float
 	return
 }
 
-// PredictionTotals sums the predictor counters across every sample —
-// the campaign-level figures the chaos session summary prints. All
-// zero for a campaign run without a predictor.
-func (c *Campaign) PredictionTotals() (fired, hits, falses, missed, proactive, migrations int, migrationMB float64) {
+// PredictionTotals sums the sessions' predictor ledgers — the
+// campaign-level score card the chaos summary prints. All zero for a
+// campaign run without a predictor.
+func (c *Campaign) PredictionTotals() predict.Ledger {
+	var total predict.Ledger
 	for _, s := range c.Samples {
-		fired += s.Predictions
-		hits += s.PredHits
-		falses += s.PredFalse
-		missed += s.PredMissed
-		proactive += s.ProactiveCkpts
-		migrations += s.Migrations
-		migrationMB += s.MigrationMB
+		total.Add(s.Ledger)
 	}
-	return
+	return total
 }
 
 // chaosLink is the fault-injection surface a link may expose beyond
@@ -362,7 +340,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 		return nil, errors.New("live: Delta.VariableCost requires Delta.Enabled")
 	}
 
-	fits, err := newFitCache(cfg.History, cfg.MinHistory)
+	fits, err := newFitCache(cfg.History)
 	if err != nil {
 		return nil, err
 	}
@@ -556,6 +534,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 		ph          phase
 		phaseT0     float64 // virtual time the current phase began
 		phaseDur    float64 // planned phase duration
+		phaseMB     float64 // size of the transfer in flight (a delta's wire size, not the image's)
 		pending     *condor.Event
 		migrating   bool // current transfer is a prediction-triggered migration
 		predTrue    bool // a true alarm fired this session
@@ -578,11 +557,9 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 		hasBase bool
 		fullSec float64 // last measured full-image transfer time (recovery)
 	)
-	chunkBytes := int64(cfg.Delta.ChunkKB) << 10
-	var numChunks int64
-	if cfg.Delta.Enabled && chunkBytes > 0 {
-		numChunks = (bytes + chunkBytes - 1) / chunkBytes
-	}
+	// Dedup chunks are 64 KiB, matching imagestore.DefaultChunkSize.
+	const chunkBytes = 64 << 10
+	numChunks := (bytes + chunkBytes - 1) / chunkBytes
 	// deltaWire is the expected bytes-on-wire for a checkpoint taken
 	// after workSec seconds of uncommitted work, rounded to whole
 	// chunks (at least one: the manifest always moves something).
@@ -623,19 +600,6 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 		prng := rand.New(rand.NewSource(predict.StreamSeed(taskSeed(cfg.Seed, idx))))
 		alarms = pred.PeriodEvents(sessionLen, prng)
 	}
-	countAlarm := func(ev predict.Event) {
-		s.Predictions++
-		if ev.True {
-			predTrue = true
-		} else {
-			s.PredFalse++
-		}
-		tr.EventAt(pid, 2, "predict.fired", abs(ev.At), obs.AttrBool("true", ev.True))
-		if !ev.True {
-			tr.EventAt(pid, 2, "predict.false", abs(ev.At))
-		}
-	}
-
 	planningC := func() float64 {
 		if predictor != nil {
 			if sec, err := predictor.PredictTransferSec(bytes); err == nil {
@@ -669,8 +633,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 	var beginCheckpoint func()
 	var doTransfer func(kind phase, attempt int, onDone, onFail func(sec float64))
 
-	// doTransfer moves one checkpoint image over the link. On a clean
-	// link it is exactly one draw from the transfer-time model. Over a
+	// doTransfer moves one checkpoint image over the link. Over a
 	// chaosLink an attempt may tear partway; torn attempts are retried
 	// after exponential backoff, up to the link's MaxAttempts, after
 	// which onFail degrades the process (sec = the last attempt's
@@ -699,30 +662,16 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 			mb = float64(xfer) / ckptnet.MB
 			isDelta = xfer < bytes
 		}
-		committed := func(sec float64) {
-			if isDelta {
-				s.DeltaCheckpoints++
-			}
-			if predictor != nil {
-				_ = predictor.Observe(xfer, sec) // sized and timed here, so never invalid
-			}
-			onDone(sec)
-		}
+		// A clean link is one draw from the transfer-time model: an
+		// attempt that never tears.
+		var a ckptnet.TransferAttempt
 		if chaos == nil {
-			dur := cfg.Link.TransferTime(xfer, rng)
-			ph, phaseT0, phaseDur = kind, t0, dur
-			pending = clock.Schedule(dur, func() {
-				s.TransferSec += dur
-				s.MBMoved += mb
-				cfg.Wire.Add(abs(clock.Now()), xfer)
-				tr.SpanAt(pid, 1, transferName(kind), abs(t0), dur,
-					obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", mb))
-				committed(dur)
-			})
-			return
+			a.Sec = cfg.Link.TransferTime(xfer, rng)
+			a.FullSec = a.Sec
+		} else {
+			a = chaos.Attempt(xfer, rng)
 		}
-		a := chaos.Attempt(xfer, rng)
-		ph, phaseT0, phaseDur = kind, t0, a.FullSec
+		ph, phaseT0, phaseDur, phaseMB = kind, t0, a.FullSec, mb
 		if !a.Torn {
 			pending = clock.Schedule(a.Sec, func() {
 				s.TransferSec += a.Sec
@@ -730,7 +679,13 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 				cfg.Wire.Add(abs(clock.Now()), xfer)
 				tr.SpanAt(pid, 1, transferName(kind), abs(t0), a.Sec,
 					obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", mb))
-				committed(a.Sec)
+				if isDelta {
+					s.DeltaCheckpoints++
+				}
+				if predictor != nil {
+					_ = predictor.Observe(xfer, a.Sec) // sized and timed here, so never invalid
+				}
+				onDone(a.Sec)
 			})
 			return
 		}
@@ -808,25 +763,36 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 		pending = clock.Schedule(topt, beginCheckpoint)
 	}
 
-	beginCheckpoint = func() {
-		// Work interval finished; heartbeats were sent every
-		// HeartbeatSec during it. The interval's work stays pending
-		// until a checkpoint transfer commits it.
-		s.Heartbeats += int(phaseDur / cfg.HeartbeatSec)
-		pendingWork += topt
+	// shipCheckpoint sends the pending work's image — as the scheduled
+	// checkpoint that ends an interval or, with alarmed set, as the
+	// alarm-triggered one (a migration when migrating is set).
+	shipCheckpoint := func(alarmed bool) {
 		doTransfer(phaseCheckpointing, 1, func(sec float64) {
-			// Checkpoint committed — including any work a previously
-			// abandoned checkpoint left uncommitted.
+			// Committed — including any work a previously abandoned
+			// checkpoint left uncommitted.
 			s.CommittedWork += pendingWork
 			pendingWork = 0
-			s.Checkpoints++
 			s.MeasuredCs = append(s.MeasuredCs, sec)
 			measuredC = sec
+			if migrating {
+				// The image is at the destination: the process leaves
+				// the doomed machine and the session ends here.
+				migrating = false
+				s.AddMigration(cfg.CheckpointMB)
+				s.Migrated = true
+				s.SessionSec = clock.Now()
+				return
+			}
+			if alarmed {
+				s.ProactiveCheckpoints++
+			}
+			s.Checkpoints++
 			beginWork()
 		}, func(est float64) {
-			// Checkpoint abandoned after bounded retries: keep
-			// computing on the degraded schedule; the work stays
-			// pending until the next checkpoint goes through.
+			// Abandoned after bounded retries: the process stays put
+			// and keeps computing on the degraded schedule; the work
+			// stays pending until the next checkpoint goes through.
+			migrating = false
 			if est > 0 {
 				measuredC = est
 			}
@@ -835,6 +801,15 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 				obs.AttrStr("cause", "retries-exhausted"))
 			beginWork()
 		})
+	}
+
+	beginCheckpoint = func() {
+		// Work interval finished; heartbeats were sent every
+		// HeartbeatSec during it. The interval's work stays pending
+		// until a checkpoint transfer commits it.
+		s.Heartbeats += int(phaseDur / cfg.HeartbeatSec)
+		pendingWork += topt
+		shipCheckpoint(false)
 	}
 
 	// Schedule the eviction before any session event so that, at equal
@@ -850,8 +825,10 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 		case phaseRecovering, phaseCheckpointing:
 			s.TransferSec += elapsed
 			if phaseDur > 0 {
-				s.MBMoved += cfg.CheckpointMB * elapsed / phaseDur
-				cfg.Wire.Add(abs(at), int64(cfg.CheckpointMB*ckptnet.MB*elapsed/phaseDur+0.5))
+				// Prorate what was in flight: for a delta that is its
+				// dirty chunks, not the whole image.
+				s.MBMoved += phaseMB * elapsed / phaseDur
+				cfg.Wire.Add(abs(at), int64(phaseMB*ckptnet.MB*elapsed/phaseDur+0.5))
 			}
 			if ph == phaseCheckpointing {
 				s.LostWork += pendingWork
@@ -871,16 +848,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 		// instant itself still fired, and the reclaim is a hit or a
 		// miss depending on whether a true alarm preceded it.
 		if pred != nil {
-			for ; alarmIdx < len(alarms); alarmIdx++ {
-				countAlarm(alarms[alarmIdx])
-			}
-			if predTrue {
-				s.PredHits++
-				tr.EventAt(pid, 2, "predict.hit", abs(at))
-			} else {
-				s.PredMissed++
-				tr.EventAt(pid, 2, "predict.miss", abs(at))
-			}
+			s.Evict(tr, pid, 2, al.start, abs(at), alarms[alarmIdx:], predTrue)
 		}
 	})
 
@@ -892,7 +860,9 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 	// precision costs).
 	onAlarm := func(ev predict.Event) {
 		alarmIdx++
-		countAlarm(ev)
+		if s.Alarm(tr, pid, 2, abs(ev.At), ev) {
+			predTrue = true
+		}
 		if cfg.Policy == predict.PolicyReactive || ph != phaseWorking {
 			return
 		}
@@ -903,36 +873,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 			pending.Cancel()
 		}
 		migrating = cfg.Policy == predict.PolicyMigrate
-		doTransfer(phaseCheckpointing, 1, func(sec float64) {
-			s.CommittedWork += pendingWork
-			pendingWork = 0
-			s.MeasuredCs = append(s.MeasuredCs, sec)
-			measuredC = sec
-			if migrating {
-				// The image is at the destination: the process leaves
-				// the doomed machine and the session ends here.
-				migrating = false
-				s.Migrations++
-				s.MigrationMB += cfg.CheckpointMB
-				s.Migrated = true
-				s.SessionSec = clock.Now()
-				return
-			}
-			s.ProactiveCkpts++
-			s.Checkpoints++
-			beginWork()
-		}, func(est float64) {
-			// Retries exhausted shipping the image: the process stays
-			// put on its degraded estimate, the work still pending.
-			migrating = false
-			if est > 0 {
-				measuredC = est
-			}
-			s.Fallbacks++
-			tr.EventAt(pid, 1, "fallback", abs(clock.Now()),
-				obs.AttrStr("cause", "retries-exhausted"))
-			beginWork()
-		})
+		shipCheckpoint(true)
 	}
 	for _, ev := range alarms {
 		clock.Schedule(ev.At, func() { onAlarm(ev) })
@@ -959,12 +900,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 		return Sample{}, fmt.Errorf("live: sample %d (%v): session ran out of events before eviction", idx, model)
 	}
 	if pred != nil {
-		predict.Metrics.Fired.Add(uint64(s.Predictions))
-		predict.Metrics.Hits.Add(uint64(s.PredHits))
-		predict.Metrics.False.Add(uint64(s.PredFalse))
-		predict.Metrics.Missed.Add(uint64(s.PredMissed))
-		predict.Metrics.ProactiveCheckpoints.Add(uint64(s.ProactiveCkpts))
-		predict.Metrics.Migrations.Add(uint64(s.Migrations))
+		s.Flush()
 	}
 	tr.SpanAt(pid, 1, "session", abs(0), s.SessionSec,
 		obs.AttrStr("model", model.String()),
@@ -1001,10 +937,9 @@ func conservativeTopt(fits *fitCache, heartbeatSec, planC, age float64) float64 
 // model) pair is fitted at most once across the whole campaign, and
 // concurrent first requests single-flight instead of refitting.
 type fitCache struct {
-	history    *trace.Set
-	minRecords int
-	pooled     []float64
-	cache      *fit.Cache
+	history *trace.Set
+	pooled  []float64
+	cache   *fit.Cache
 	// conservative() memoizes the exponential fit of the pooled
 	// archive, the degraded-mode fallback distribution.
 	consOnce sync.Once
@@ -1012,7 +947,7 @@ type fitCache struct {
 	consErr  error
 }
 
-func newFitCache(history *trace.Set, minRecords int) (*fitCache, error) {
+func newFitCache(history *trace.Set) (*fitCache, error) {
 	var pooled []float64
 	for _, name := range history.Machines() {
 		pooled = append(pooled, history.Traces[name].Durations()...)
@@ -1021,10 +956,9 @@ func newFitCache(history *trace.Set, minRecords int) (*fitCache, error) {
 		return nil, errors.New("live: empty history")
 	}
 	return &fitCache{
-		history:    history,
-		minRecords: minRecords,
-		pooled:     pooled,
-		cache:      fit.NewCache(),
+		history: history,
+		pooled:  pooled,
+		cache:   fit.NewCache(),
 	}, nil
 }
 
@@ -1032,7 +966,7 @@ func newFitCache(history *trace.Set, minRecords int) (*fitCache, error) {
 // for concurrent use.
 func (fc *fitCache) fitFor(machine string, model fit.Model) (dist.Distribution, error) {
 	data := fc.pooled
-	if tr, ok := fc.history.Traces[machine]; ok && tr.Len() >= fc.minRecords {
+	if tr, ok := fc.history.Traces[machine]; ok && tr.Len() >= trace.DefaultTrainingSize {
 		data = tr.Durations()
 	}
 	return fc.cache.Fit(machine, model, data)

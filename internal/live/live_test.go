@@ -296,7 +296,7 @@ func TestValidateAgreesLoosely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Validate(camp, history, 25)
+	rows, err := Validate(camp, history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +425,11 @@ func TestRunCampaignWithForecast(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	if _, err := Validate(nil, nil, 0); err == nil {
+	if _, err := Validate(nil, nil); err == nil {
 		t.Error("nil campaign should error")
 	}
 	_, history := testbed(t, 3, 19)
-	if _, err := Validate(&Campaign{}, history, 0); err == nil {
+	if _, err := Validate(&Campaign{}, history); err == nil {
 		t.Error("empty campaign should error")
 	}
 }

@@ -45,7 +45,9 @@ func TestCampaignReactiveCountsButDoesNotAct(t *testing.T) {
 	base := predictCampaign(t, predict.Config{}, predict.PolicyReactive, ckptnet.CampusLink())
 	got := predictCampaign(t, predict.Config{Precision: 0.5, Recall: 0.8, LeadSec: 300},
 		predict.PolicyReactive, ckptnet.CampusLink())
-	fired, hits, falses, missed, proactive, migrations, _ := got.PredictionTotals()
+	tot := got.PredictionTotals()
+	fired, hits, falses, missed := tot.Predictions, tot.PredHits, tot.PredFalse, tot.PredMissed
+	proactive, migrations := tot.ProactiveCheckpoints, tot.Migrations
 	if fired == 0 || hits == 0 {
 		t.Errorf("expected alarms, got fired=%d hits=%d", fired, hits)
 	}
@@ -70,7 +72,8 @@ func TestCampaignReactiveCountsButDoesNotAct(t *testing.T) {
 func TestCampaignProactivePolicy(t *testing.T) {
 	base := predictCampaign(t, predict.Config{}, predict.PolicyReactive, ckptnet.CampusLink())
 	got := predictCampaign(t, predict.Perfect(300), predict.PolicyProactive, ckptnet.CampusLink())
-	_, hits, falses, missed, proactive, _, _ := got.PredictionTotals()
+	tot := got.PredictionTotals()
+	hits, falses, missed, proactive := tot.PredHits, tot.PredFalse, tot.PredMissed, tot.ProactiveCheckpoints
 	if proactive == 0 {
 		t.Fatal("no proactive checkpoints committed")
 	}
@@ -92,7 +95,8 @@ func TestCampaignProactivePolicy(t *testing.T) {
 
 func TestCampaignMigratePolicy(t *testing.T) {
 	got := predictCampaign(t, predict.Perfect(300), predict.PolicyMigrate, ckptnet.CampusLink())
-	_, _, _, _, _, migrations, migrationMB := got.PredictionTotals()
+	tot := got.PredictionTotals()
+	migrations, migrationMB := tot.Migrations, tot.MigrationMB
 	if migrations == 0 {
 		t.Fatal("no migrations completed")
 	}
@@ -141,7 +145,8 @@ func TestCampaignPredictUnderChaos(t *testing.T) {
 	if len(got.Samples) != 12 {
 		t.Fatalf("samples = %d, want 12 (no aborted sessions)", len(got.Samples))
 	}
-	fired, _, _, _, _, migrations, migrationMB := got.PredictionTotals()
+	tot := got.PredictionTotals()
+	fired, migrations, migrationMB := tot.Predictions, tot.Migrations, tot.MigrationMB
 	if fired == 0 {
 		t.Error("no alarms fired under chaos")
 	}

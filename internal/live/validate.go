@@ -34,14 +34,11 @@ func (v ValidationRow) Delta() float64 { return v.LiveEfficiency - v.SimEfficien
 
 // Validate replays every live sample through the discrete-event
 // simulator and reports per-model live-vs-simulated efficiency.
-func Validate(c *Campaign, history *trace.Set, minHistory int) ([]ValidationRow, error) {
+func Validate(c *Campaign, history *trace.Set) ([]ValidationRow, error) {
 	if c == nil || len(c.Samples) == 0 {
 		return nil, errors.New("live: no samples to validate")
 	}
-	if minHistory <= 0 {
-		minHistory = trace.DefaultTrainingSize
-	}
-	fits, err := newFitCache(history, minHistory)
+	fits, err := newFitCache(history)
 	if err != nil {
 		return nil, err
 	}

@@ -458,24 +458,6 @@ func (e *engine) schedAlarm(id int) {
 	e.updateCand(id >> e.shift)
 }
 
-// countAlarm settles one fired alarm in the books and on the trace.
-func (e *engine) countAlarm(id int, ev predict.Event) {
-	e.res.Predictions++
-	_, w := e.wref(id)
-	if ev.True {
-		w.flags |= fPredTrue
-	} else {
-		e.res.PredFalse++
-	}
-	if e.tr != nil {
-		at := w.availStart + ev.At
-		e.tr.EventAt(e.pid, e.predTid(id), "predict.fired", at, obs.AttrBool("true", ev.True))
-		if !ev.True {
-			e.tr.EventAt(e.pid, e.predTid(id), "predict.false", at)
-		}
-	}
-}
-
 // firePred processes a predictor alarm. The alarm always counts; under
 // the proactive and migrate policies it additionally interrupts an
 // in-flight work interval (the worker cannot tell true alarms from
@@ -489,7 +471,9 @@ func (e *engine) firePred(id int) {
 	ev := sh.alarms[l][sh.alarmIdx[l]]
 	sh.alarmIdx[l]++
 	e.schedAlarm(id)
-	e.countAlarm(id, ev)
+	if e.res.Alarm(e.tr, e.pid, e.predTid(id), w.availStart+ev.At, ev) {
+		w.flags |= fPredTrue
+	}
 	if e.cfg.Policy == predict.PolicyReactive || w.state != wWorking {
 		return
 	}
@@ -547,18 +531,10 @@ func (e *engine) finish() Result {
 	metrics.svcResets.Add(uint64(e.svcClamps))
 	metrics.linkPeak.SetMax(int64(e.res.MaxConcurrent))
 	if e.pred != nil {
-		predict.Metrics.Fired.Add(uint64(e.res.Predictions))
-		predict.Metrics.Hits.Add(uint64(e.res.PredHits))
-		predict.Metrics.False.Add(uint64(e.res.PredFalse))
-		predict.Metrics.Missed.Add(uint64(e.res.PredMissed))
-		predict.Metrics.ProactiveCheckpoints.Add(uint64(e.res.ProactiveCheckpoints))
-		predict.Metrics.Migrations.Add(uint64(e.res.Migrations))
+		e.res.Flush()
 	}
 	return e.res
 }
-
-// rate is the per-transfer processor-sharing rate in MB/s.
-func (e *engine) rate() float64 { return e.rateNow }
 
 // setRate refreshes the cached rate; callers invoke it after every
 // nActive change so the hot paths divide by it without recomputing.
@@ -698,8 +674,7 @@ func (e *engine) finishTransfer(id int) {
 		// (no eviction is experienced there), the destination draws its
 		// own lifetime and alarms, and the process recovers there.
 		w.flags &^= fMigrating
-		e.res.Migrations++
-		e.res.MigrationMB += e.mb
+		e.res.AddMigration(e.mb)
 		w.availStart = e.now
 		w.failAt = e.now + e.cfg.Avail.Rand(e.rng)
 		sh.failH.Update(l, w.failAt, kindFail)
@@ -763,20 +738,8 @@ func (e *engine) fail(id int) {
 	// the eviction is a hit or a miss depending on whether a true alarm
 	// preceded it.
 	if e.pred != nil {
-		for ; int(sh.alarmIdx[l]) < len(sh.alarms[l]); sh.alarmIdx[l]++ {
-			e.countAlarm(id, sh.alarms[l][sh.alarmIdx[l]])
-		}
-		if w.flags&fPredTrue != 0 {
-			e.res.PredHits++
-			if e.tr != nil {
-				e.tr.EventAt(e.pid, e.predTid(id), "predict.hit", e.now)
-			}
-		} else {
-			e.res.PredMissed++
-			if e.tr != nil {
-				e.tr.EventAt(e.pid, e.predTid(id), "predict.miss", e.now)
-			}
-		}
+		e.res.Evict(e.tr, e.pid, e.predTid(id), w.availStart, e.now,
+			sh.alarms[l][sh.alarmIdx[l]:], w.flags&fPredTrue != 0)
 	}
 	w.flags &^= fMigrating | fProactive
 	// The machine comes back immediately in a fresh availability

@@ -173,17 +173,10 @@ type Result struct {
 	// models plan a single interval by design; extending it is the
 	// steady state, not a fallback.
 	ScheduleFallbacks int
-	// Predictions counts predictor alarms fired (true and false);
-	// PredHits counts failures that arrived with a true alarm raised,
-	// PredFalse counts false alarms, and PredMissed counts failures
-	// that arrived unwarned. All zero when prediction is disabled.
-	Predictions, PredHits, PredFalse, PredMissed int
-	// ProactiveCheckpoints counts alarm-triggered checkpoints that
-	// completed (PolicyProactive); Migrations counts completed
-	// prediction-triggered migrations (PolicyMigrate) and MigrationMB
-	// the megabytes they moved (a subset of MBMoved).
-	ProactiveCheckpoints, Migrations int
-	MigrationMB                      float64
+	// Ledger is the predictor score card (alarms fired, hits, misses,
+	// proactive checkpoints, migrations; MigrationMB is a subset of
+	// MBMoved). All zero when prediction is disabled.
+	predict.Ledger
 }
 
 // CollisionStretch reports how much collisions lengthened the average

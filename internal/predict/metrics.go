@@ -3,9 +3,8 @@ package predict
 import "github.com/cycleharvest/ckptsched/internal/obs"
 
 // Metrics holds the predictor's observability hooks. All fields are
-// nil-safe obs counters; the simulation engines bump engine-local
-// integers and flush here once per run (the internal/parallel
-// discipline), while the live runner flushes once per session.
+// nil-safe obs counters; consumers keep a Ledger per run or session
+// and Flush it here once.
 var Metrics struct {
 	// Fired counts alarms raised (true and false together).
 	Fired *obs.Counter

@@ -124,9 +124,6 @@ func New(cfg Config) (*Predictor, error) {
 	return &Predictor{cfg: cfg}, nil
 }
 
-// Config returns the predictor's configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 // PeriodEvents draws the alarms for one availability period of the
 // given length whose failure strikes at its end, sorted by firing
 // time. A nil receiver or a non-positive period returns nil without

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,9 @@ import (
 //     the read buffer has no more pipelined requests — one syscall per
 //     batch instead of per response;
 //   - admission control, the schedule store, metrics, and response
-//     bytes are shared with the net/http handler, so both planes give
-//     byte-identical JSON and the same 429/404 semantics.
+//     bytes are shared with the net/http handler — both call
+//     lookupInterval — so both planes give byte-identical JSON and the
+//     same 429/404/422 semantics.
 //
 // Anything that is not a well-formed interval GET gets a 400/404 and,
 // for safety, the connection is closed — the control plane (fits,
@@ -131,19 +133,17 @@ const (
 // consumer of a scheduling lookup wants the wall clock.
 var (
 	fastOKPrefix  = []byte("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: ")
-	fast400       = fastCanned("400 Bad Request", `{"error":"age: must be a finite number ≥ 0"}`+"\n")
+	fast400       = fastCanned("400 Bad Request", `{"error":"age: must be a finite number ≥ 0"}`+"\n", true)
 	fast429Prefix = []byte("HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nRetry-After: ")
 )
 
-// fast404 keeps the connection open: a lookup for a machine nobody
-// scheduled is a normal fleet event, and closing would take the rest
-// of the pipelined stream down with it.
-var fast404 = func() []byte {
-	body := `{"error":"no such schedule"}` + "\n"
-	return []byte(fmt.Sprintf(
-		"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
-		len(body), body))
-}()
+// fast404 and fast422 keep the connection open: a lookup for a machine
+// nobody scheduled, or one whose build failed, is a normal fleet event,
+// and closing would take the rest of the pipelined stream down with it.
+var (
+	fast404 = fastCanned("404 Not Found", `{"error":"no such schedule"}`+"\n", false)
+	fast422 = fastCanned("422 Unprocessable Entity", `{"error":"schedule build failed"}`+"\n", false)
+)
 
 // fast429Body carries its own Content-Length; the 429 keeps the
 // connection open (shedding is transient, closing would make every
@@ -153,13 +153,17 @@ var fast429Body = func() []byte {
 	return []byte(fmt.Sprintf("\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
 }()
 
-// fastCanned renders a terminal error response; Content-Length is the
-// byte length (the 400 body holds a multi-byte ≥), and the connection
-// closes after it.
-func fastCanned(status, body string) []byte {
+// fastCanned renders a canned error response; Content-Length is the
+// byte length (the 400 body holds a multi-byte ≥). With closeConn the
+// response announces that the connection closes after it.
+func fastCanned(status, body string, closeConn bool) []byte {
+	connection := ""
+	if closeConn {
+		connection = "Connection: close\r\n"
+	}
 	return []byte(fmt.Sprintf(
-		"HTTP/1.1 %s\r\nContent-Type: application/json\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s",
-		status, len(body), body))
+		"HTTP/1.1 %s\r\nContent-Type: application/json\r\n%sContent-Length: %d\r\n\r\n%s",
+		status, connection, len(body), body))
 }
 
 func (fr *FastRunning) serveConn(c net.Conn) {
@@ -222,20 +226,14 @@ func (fr *FastRunning) serveConn(c net.Conn) {
 			s.sloInterval.Observe(time.Since(start).Seconds(), false)
 			continue
 		}
-		e := s.store.getBytes(key)
-		var body []byte
-		if e != nil {
-			e.wait()
-			if e.err == nil {
-				if T, idx, extended, ok := e.sched.LookupFrom(age, int(e.hint.Load())); ok {
-					e.hint.Store(int32(idx))
-					body = appendIntervalBody(scratch[:0], T, idx, extended)
-				}
-			}
-		}
+		status, body, _ := lookupInterval(s, key, age, scratch[:0])
 		s.limInterval.release()
-		if body == nil {
-			bw.Write(fast404)
+		if status != http.StatusOK {
+			if status == http.StatusNotFound {
+				bw.Write(fast404)
+			} else {
+				bw.Write(fast422)
+			}
 			s.m.errors.Inc()
 			s.sloInterval.Observe(time.Since(start).Seconds(), false)
 			continue
@@ -293,7 +291,7 @@ func appendIntervalBody(b []byte, T float64, idx int, extended bool) []byte {
 // parseFastRequest destructures "GET /v1/schedule/<key>/interval?age=<v> HTTP/1.1\r\n"
 // in place. The returned key aliases the read buffer and is only valid
 // until the next ReadSlice — the caller copies it out before consuming
-// headers; getBytes then looks it up without a heap allocation.
+// headers; storeGet then looks it up without a heap allocation.
 func parseFastRequest(line []byte) (key []byte, age float64, ok bool) {
 	const pre = "GET /v1/schedule/"
 	if len(line) < len(pre) || string(line[:len(pre)]) != pre {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"strconv"
 	"strings"
 	"testing"
@@ -234,5 +235,70 @@ func TestFastPathKeyTooLong(t *testing.T) {
 	}
 	if code, _, _ := readFastResponse(t, br); code != 400 {
 		t.Errorf("overlong key = %d, want 400", code)
+	}
+}
+
+// TestIntervalPlanesAgree asks both listeners the same interval
+// questions — an installed key, a key nobody scheduled, a key whose
+// build failed (the store memoizes the error) — and requires the same
+// status from each and, on 200, the same bytes: both planes answer
+// through lookupInterval, so there is nothing to drift. It also holds
+// the shared lookup to the fast path's budget of zero allocations.
+func TestIntervalPlanesAgree(t *testing.T) {
+	s, fr, _, _ := startFastTest(t, Options{})
+	if w := postJSON(t, s, "/v1/schedule", scheduleRequest{
+		Key: "broken", Model: "weibull", Params: []float64{-1, 3409}, C: 60,
+	}); w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("installing an impossible Weibull = %d (%s), want 422", w.Code, w.Body)
+	}
+	rn, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		rn.Shutdown(ctx)
+	})
+
+	for _, c := range []struct {
+		name, target string
+		want         int
+	}{
+		{"installed key", "/v1/schedule/m1/interval?age=137.5", http.StatusOK},
+		{"installed key, fresh resource", "/v1/schedule/m2/interval", http.StatusOK},
+		{"unknown key", "/v1/schedule/nobody/interval?age=5", http.StatusNotFound},
+		{"failed-build key", "/v1/schedule/broken/interval?age=5", http.StatusUnprocessableEntity},
+	} {
+		var codes [2]int
+		var bodies [2]string
+		for i, addr := range []string{rn.Addr().String(), fr.Addr().String()} {
+			rsp, err := http.Get("http://" + addr + c.target)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			b, err := io.ReadAll(rsp.Body)
+			rsp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			codes[i], bodies[i] = rsp.StatusCode, string(b)
+		}
+		if codes[0] != c.want || codes[1] != c.want {
+			t.Errorf("%s: net/http plane %d, fast plane %d, want %d on both", c.name, codes[0], codes[1], c.want)
+		}
+		if c.want == http.StatusOK && bodies[0] != bodies[1] {
+			t.Errorf("%s: bodies differ:\nnet/http %q\nfast     %q", c.name, bodies[0], bodies[1])
+		}
+	}
+
+	key := []byte("m1")
+	var scratch [96]byte
+	if n := testing.AllocsPerRun(200, func() {
+		if status, _, _ := lookupInterval(s, key, 137.5, scratch[:0]); status != http.StatusOK {
+			t.Errorf("lookup = %d", status)
+		}
+	}); n != 0 {
+		t.Errorf("lookupInterval over a byte key allocates %.0f times per call, want 0", n)
 	}
 }

@@ -38,13 +38,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"strconv"
 	"strings"
@@ -70,22 +68,17 @@ type Options struct {
 	// serve lane (pid 2). The interval hot path is deliberately
 	// untraced. Nil disables tracing.
 	Tracer *obs.Tracer
-	// FitCache is the shared fit memo; nil builds a bounded sharded
-	// cache (MaxFits entries).
-	FitCache *fit.Cache
-	// MaxFits bounds the default fit cache; 0 means 131072 entries.
-	// Ignored when FitCache is supplied.
+	// MaxFits bounds the sharded fit cache; 0 means 131072 entries,
+	// negative means unbounded.
 	MaxFits int
 	// MaxSchedules bounds the schedule store; 0 means 65536, negative
 	// means unbounded.
 	MaxSchedules int
-	// MaxBody caps request bodies in bytes; 0 means 8 MiB.
-	MaxBody int64
-	// Fit, Schedule, Interval are the per-route admission policies.
-	// Zero fields take defaults: fits and schedule builds admit
-	// 2×GOMAXPROCS with a 64-deep, 250 ms queue; interval lookups
-	// admit 256 with a 1024-deep, 5 ms queue.
-	Fit, Schedule, Interval RouteLimit
+	// Interval is the interval route's admission policy; zero fields
+	// take the defaults (256 in flight, a 1024-deep 5 ms queue). Fits
+	// and schedule builds always admit 2×GOMAXPROCS with a 64-deep,
+	// 250 ms queue.
+	Interval RouteLimit
 	// RetryAfter is the advisory Retry-After on 429 responses,
 	// rounded up to whole seconds; 0 means 1 s.
 	RetryAfter time.Duration
@@ -94,36 +87,22 @@ type Options struct {
 	// the same Registry so the slo_* gauges ride both expositions.
 	// Starting the self-scraper remains the caller's job.
 	History *obs.History
-	// FitSLO, ScheduleSLO, IntervalSLO override the per-route
-	// service-level objectives (zero fields keep route defaults: 2.5 s
-	// at 99% for the heavy routes, 10 ms at 99.9% for interval).
-	FitSLO, ScheduleSLO, IntervalSLO SLOTarget
 	// Pprof mounts net/http/pprof under /debug/pprof/ — off by default
 	// because profiling endpoints do not belong on an exposed port
 	// unasked.
 	Pprof bool
 }
 
-// SLOTarget overrides one route's service-level objective. Zero fields
-// keep the route's default.
-type SLOTarget struct {
-	// Latency is the per-request bound in seconds; a slower success
-	// still burns error budget.
-	Latency float64
-	// Objective is the availability target in (0,1), e.g. 0.999.
-	Objective float64
-}
+// maxBody caps request bodies, in bytes.
+const maxBody = 8 << 20
 
-// withDefaults fills zero fields from d.
-func (t SLOTarget) withDefaults(d SLOTarget) SLOTarget {
-	if t.Latency <= 0 {
-		t.Latency = d.Latency
-	}
-	if t.Objective <= 0 || t.Objective >= 1 {
-		t.Objective = d.Objective
-	}
-	return t
-}
+// The per-route service-level objectives: a latency bound in seconds (a
+// slower success still burns error budget) and an availability target.
+// Fits and schedule builds share the heavy pair.
+const (
+	heavySLOLatency, heavySLOObjective       = 2.5, 0.99
+	intervalSLOLatency, intervalSLOObjective = 0.01, 0.999
+)
 
 // Server routes and serves the scheduling API. Build with New; it is
 // an http.Handler, so it can be mounted under a caller's server or run
@@ -136,6 +115,7 @@ type Server struct {
 	limFit, limSched, limInterval *limiter
 	sloFit, sloSched, sloInterval *obs.SLO
 	retryAfterSec                 string
+	ops                           *http.ServeMux // obs.NewOpsMux: /metrics, /healthz, /debug/*
 
 	// hookAdmitted, when set (tests only), runs after a request passes
 	// admission for the named route — the seam the overload and drain
@@ -150,14 +130,12 @@ const servePid = 2
 func New(opts Options) *Server {
 	s := &Server{opts: opts}
 	s.m.register(opts.Registry)
-	s.fits = opts.FitCache
-	if s.fits == nil {
-		maxFits := opts.MaxFits
-		if maxFits == 0 {
-			maxFits = 1 << 17
-		}
-		s.fits = fit.NewCacheOpts(fit.CacheOptions{MaxEntries: maxFits})
+	s.ops = obs.NewOpsMux(opts.Registry, opts.Tracer, opts.History, opts.Pprof)
+	maxFits := opts.MaxFits
+	if maxFits == 0 {
+		maxFits = 1 << 17
 	}
+	s.fits = fit.NewCacheOpts(fit.CacheOptions{MaxEntries: maxFits})
 	maxSched := opts.MaxSchedules
 	if maxSched == 0 {
 		maxSched = 1 << 16
@@ -168,8 +146,8 @@ func New(opts Options) *Server {
 	s.store = newScheduleStore(shardDefault(), maxSched, &s.m)
 
 	heavy := RouteLimit{MaxInFlight: 2 * runtime.GOMAXPROCS(0), MaxQueued: 64, MaxWait: 250 * time.Millisecond}
-	s.limFit = newLimiter(opts.Fit.withDefaults(heavy))
-	s.limSched = newLimiter(opts.Schedule.withDefaults(heavy))
+	s.limFit = newLimiter(heavy)
+	s.limSched = newLimiter(heavy)
 	s.limInterval = newLimiter(opts.Interval.withDefaults(
 		RouteLimit{MaxInFlight: 256, MaxQueued: 1024, MaxWait: 5 * time.Millisecond}))
 
@@ -179,13 +157,9 @@ func New(opts Options) *Server {
 	}
 	s.retryAfterSec = strconv.Itoa(int((ra + time.Second - 1) / time.Second))
 
-	heavySLO := SLOTarget{Latency: 2.5, Objective: 0.99}
-	fitSLO := opts.FitSLO.withDefaults(heavySLO)
-	schedSLO := opts.ScheduleSLO.withDefaults(heavySLO)
-	intSLO := opts.IntervalSLO.withDefaults(SLOTarget{Latency: 0.01, Objective: 0.999})
-	s.sloFit = obs.NewSLO(opts.Registry, "fit", fitSLO.Latency, fitSLO.Objective)
-	s.sloSched = obs.NewSLO(opts.Registry, "schedule", schedSLO.Latency, schedSLO.Objective)
-	s.sloInterval = obs.NewSLO(opts.Registry, "interval", intSLO.Latency, intSLO.Objective)
+	s.sloFit = obs.NewSLO(opts.Registry, "fit", heavySLOLatency, heavySLOObjective)
+	s.sloSched = obs.NewSLO(opts.Registry, "schedule", heavySLOLatency, heavySLOObjective)
+	s.sloInterval = obs.NewSLO(opts.Registry, "interval", intervalSLOLatency, intervalSLOObjective)
 	if h := opts.History; h != nil {
 		s.sloFit.Attach(h)
 		s.sloSched.Attach(h)
@@ -207,9 +181,6 @@ func shardDefault() int {
 	return n
 }
 
-// FitCache returns the server's fit memo (for preloading).
-func (s *Server) FitCache() *fit.Cache { return s.fits }
-
 // Schedules reports how many schedules are resident.
 func (s *Server) Schedules() int { return s.store.len() }
 
@@ -222,27 +193,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.m.inflight.Add(1)
 	defer s.m.inflight.Add(-1)
 	path := r.URL.Path
-	if strings.HasPrefix(path, "/debug/pprof") {
-		if !s.opts.Pprof {
-			s.errorf(w, http.StatusNotFound, "profiling is not enabled")
-			return
-		}
-		switch path {
-		case "/debug/pprof/cmdline":
-			pprof.Cmdline(w, r)
-		case "/debug/pprof/profile":
-			pprof.Profile(w, r)
-		case "/debug/pprof/symbol":
-			pprof.Symbol(w, r)
-		case "/debug/pprof/trace":
-			pprof.Trace(w, r)
-		default:
-			// Index also serves the named runtime profiles
-			// (/debug/pprof/heap, /goroutine, ...).
-			pprof.Index(w, r)
-		}
-		return
-	}
 	if strings.HasPrefix(path, "/v1/schedule/") {
 		rest := path[len("/v1/schedule/"):]
 		if i := strings.IndexByte(rest, '/'); i >= 0 {
@@ -262,26 +212,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleFit(w, r)
 	case "/v1/schedule":
 		s.handleSchedule(w, r)
-	case "/healthz":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	case "/metrics":
-		s.opts.Registry.Handler().ServeHTTP(w, r)
-	case "/metrics/history":
-		if s.opts.History == nil {
-			s.errorf(w, http.StatusNotFound, "history is not enabled")
-			return
-		}
-		s.opts.History.Handler().ServeHTTP(w, r)
-	case "/debug/vars":
-		expvar.Handler().ServeHTTP(w, r)
-	case "/debug/trace/snapshot":
-		if s.opts.Tracer == nil {
-			s.errorf(w, http.StatusNotFound, "tracing is not enabled")
-			return
-		}
-		s.opts.Tracer.SnapshotHandler().ServeHTTP(w, r)
 	default:
+		// Everything else is the shared operations mux or a 404.
+		if h, pattern := s.ops.Handler(r); pattern != "" {
+			h.ServeHTTP(w, r)
+			return
+		}
 		s.errorf(w, http.StatusNotFound, "no such route")
 	}
 }
@@ -311,10 +247,6 @@ func (s *Server) shed(w http.ResponseWriter, route string) {
 
 // decodeBody decodes a JSON request body into dst, bounding its size.
 func (s *Server) decodeBody(r *http.Request, dst any) error {
-	maxBody := s.opts.MaxBody
-	if maxBody <= 0 {
-		maxBody = 8 << 20
-	}
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBody+1))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -578,7 +510,7 @@ func (s *Server) handleGetSchedule(w http.ResponseWriter, r *http.Request, key s
 		s.errorf(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	e := s.store.get(key)
+	e := storeGet(s.store, key)
 	if e == nil {
 		s.errorf(w, http.StatusNotFound, "no schedule for key %q", key)
 		return
@@ -626,29 +558,48 @@ func (s *Server) serveInterval(w http.ResponseWriter, r *http.Request, key strin
 		s.errorf(w, http.StatusBadRequest, "age: must be a finite number ≥ 0")
 		return false
 	}
-	e := s.store.get(key)
-	if e == nil {
-		s.errorf(w, http.StatusNotFound, "no schedule for key %q", key)
+	var buf [96]byte
+	status, body, err := lookupInterval(s, key, age, buf[:0])
+	switch status {
+	case http.StatusNotFound:
+		s.errorf(w, status, "no schedule for key %q", key)
 		return false
+	case http.StatusUnprocessableEntity:
+		s.errorf(w, status, "schedule: %v", err)
+		return false
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+	s.m.intervalLat.Observe(time.Since(start).Seconds())
+	return true
+}
+
+// errEmptySchedule is lookupInterval's 422 for a build that succeeded
+// but planned no interval.
+var errEmptySchedule = errors.New("no interval planned")
+
+// lookupInterval is the interval route's whole lookup — store probe,
+// wait for an in-flight build, the O(1) LookupFrom threading the
+// entry's shared hint, the body rendered into buf — and the one place
+// its outcome becomes a status, so the net/http and fast listeners
+// cannot answer the same request differently: 200 with the body, 404
+// for a key nobody scheduled, 422 (with the cause) for a key whose
+// build failed or planned nothing. The key may alias a read buffer.
+func lookupInterval[K string | []byte](s *Server, key K, age float64, buf []byte) (status int, body []byte, err error) {
+	e := storeGet(s.store, key)
+	if e == nil {
+		return http.StatusNotFound, nil, nil
 	}
 	e.wait()
 	if e.err != nil {
-		s.errorf(w, http.StatusUnprocessableEntity, "schedule: %v", e.err)
-		return false
+		return http.StatusUnprocessableEntity, nil, e.err
 	}
 	T, idx, extended, ok := e.sched.LookupFrom(age, int(e.hint.Load()))
 	if !ok {
-		s.errorf(w, http.StatusUnprocessableEntity, "schedule for %q is empty", key)
-		return false
+		return http.StatusUnprocessableEntity, nil, errEmptySchedule
 	}
 	e.hint.Store(int32(idx))
-
-	var buf [96]byte
-	b := appendIntervalBody(buf[:0], T, idx, extended)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-	s.m.intervalLat.Observe(time.Since(start).Seconds())
-	return true
+	return http.StatusOK, appendIntervalBody(buf, T, idx, extended), nil
 }
 
 // ageFromQuery extracts the age parameter from a raw query string.

@@ -87,23 +87,14 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// get returns the entry for key, or nil. The caller must wait() before
-// touching sched/err.
-func (st *scheduleStore) get(key string) *storeEntry {
-	sh := st.shard(key)
-	sh.mu.RLock()
-	e := sh.entries[key]
-	sh.mu.RUnlock()
-	return e
-}
-
-// getBytes is get for a key that still aliases a network buffer (the
-// fast path): the map probe's string(key) conversion is recognized by
-// the compiler and does not allocate.
-func (st *scheduleStore) getBytes(key []byte) *storeEntry {
+// storeGet returns the entry for key, or nil. The caller must wait()
+// before touching sched/err. The key may still alias a network buffer
+// (the fast path passes bytes): the map probe's string(key) conversion
+// is recognized by the compiler and does not allocate.
+func storeGet[K string | []byte](st *scheduleStore, key K) *storeEntry {
 	h := uint64(fnvOffset)
-	for _, b := range key {
-		h = (h ^ uint64(b)) * fnvPrime
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime
 	}
 	sh := &st.shards[h&st.mask]
 	sh.mu.RLock()

@@ -10,7 +10,6 @@ import (
 
 // MachineRun is the outcome of simulating one machine under one model.
 type MachineRun struct {
-	Machine  string
 	Model    fit.Model
 	Result   Result
 	Schedule *markov.Schedule

@@ -21,11 +21,9 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"github.com/cycleharvest/ckptsched/internal/markov"
 	"github.com/cycleharvest/ckptsched/internal/obs"
-	"github.com/cycleharvest/ckptsched/internal/predict"
 )
 
 // Planner supplies the work-interval length to use when the machine
@@ -48,21 +46,6 @@ func FixedInterval(T float64) Planner {
 	return PlannerFunc(func(float64) (float64, bool) { return T, true })
 }
 
-// InterruptedPolicy selects how interrupted (partially completed)
-// transfers are charged to the network.
-type InterruptedPolicy int
-
-const (
-	// InterruptedProrated charges bytes in proportion to the fraction
-	// of the transfer completed before the failure (default; a 500 MB
-	// checkpoint killed halfway moved ~250 MB through the network).
-	InterruptedProrated InterruptedPolicy = iota
-	// InterruptedFull charges the full transfer size.
-	InterruptedFull
-	// InterruptedFree charges nothing.
-	InterruptedFree
-)
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Costs gives the checkpoint and recovery durations (seconds). L
@@ -72,13 +55,6 @@ type Config struct {
 	// CheckpointMB is the size of one checkpoint or recovery image in
 	// megabytes (the paper uses 500).
 	CheckpointMB float64
-	// Interrupted selects the accounting policy for interrupted
-	// transfers.
-	Interrupted InterruptedPolicy
-	// SkipFirstRecovery, when true, lets the very first availability
-	// period begin computing immediately (a job with no prior state).
-	// The paper's steady-state accounting keeps it false.
-	SkipFirstRecovery bool
 	// Trace, when set, records one "period" span per availability
 	// duration plus "transfer.recovery"/"transfer.checkpoint" child
 	// spans and "evicted" instants, all timestamped on the run's
@@ -89,16 +65,6 @@ type Config struct {
 	// 0 means lane 1. Concurrent runs over distinct lanes export
 	// deterministically.
 	TracePid uint64
-	// Predict configures the oracle fault predictor (DESIGN.md §13).
-	// The zero value disables prediction entirely: no RNG draws happen
-	// and results are bit-identical to pre-predictor runs.
-	Predict predict.Config
-	// Policy selects how the job acts on predictor alarms. Ignored
-	// (reactive) when Predict is disabled.
-	Policy predict.Policy
-	// PredictSeed seeds the predictor's private RNG stream (salted via
-	// predict.StreamSeed so it never collides with consumer streams).
-	PredictSeed int64
 	// History, when set, is scraped on the run's virtual clock: sim_*
 	// metrics register on History.Registry() and one window closes at
 	// each multiple of the history's window width in simulated seconds
@@ -124,7 +90,8 @@ type Result struct {
 	// failed ones), seconds.
 	CheckpointTime float64
 	// MBTransferred is the network load in megabytes (recoveries +
-	// checkpoints, interrupted transfers per the policy).
+	// checkpoints; an interrupted transfer is charged the fraction that
+	// crossed the network before the eviction).
 	MBTransferred float64
 	// Commits counts completed work-interval+checkpoint cycles.
 	Commits int
@@ -134,22 +101,6 @@ type Result struct {
 	// FailedCheckpoints counts checkpoints interrupted by eviction;
 	// FailedIntervals counts work intervals interrupted by eviction.
 	FailedCheckpoints, FailedIntervals int
-	// Predictions counts predictor alarms fired (true and false);
-	// PredHits counts failures that arrived with a true alarm raised,
-	// PredFalse counts false alarms, and PredMissed counts failures
-	// that arrived unwarned. All zero when prediction is disabled.
-	Predictions, PredHits, PredFalse, PredMissed int
-	// ProactiveCheckpoints counts checkpoints taken because an alarm
-	// fired (PolicyProactive); Migrations counts completed
-	// prediction-triggered migrations (PolicyMigrate).
-	ProactiveCheckpoints, Migrations int
-	// MigrationMB is the megabytes moved by migrations (a subset of
-	// MBTransferred). Under PolicyMigrate the abandoned tail of each
-	// migrated-away period is subtracted from TotalTime — the job left
-	// the machine, so the time was not occupied — which makes the
-	// migration's cost exactly one transfer plus the recovery on the
-	// destination.
-	MigrationMB float64
 }
 
 // Efficiency returns UsefulWork/TotalTime, the paper's machine
@@ -183,35 +134,19 @@ func (r *Result) add(o Result) {
 	r.FailedRecoveries += o.FailedRecoveries
 	r.FailedCheckpoints += o.FailedCheckpoints
 	r.FailedIntervals += o.FailedIntervals
-	r.Predictions += o.Predictions
-	r.PredHits += o.PredHits
-	r.PredFalse += o.PredFalse
-	r.PredMissed += o.PredMissed
-	r.ProactiveCheckpoints += o.ProactiveCheckpoints
-	r.Migrations += o.Migrations
-	r.MigrationMB += o.MigrationMB
 }
 
 // ErrNoAvailabilities is returned when Run is given an empty trace.
 var ErrNoAvailabilities = errors.New("sim: no availability durations")
 
-// chargeMB returns the megabytes charged for a transfer of size mb
-// that ran for elapsed out of want seconds.
-func chargeMB(mb, elapsed, want float64, complete bool, policy InterruptedPolicy) float64 {
-	if complete {
-		return mb
-	}
-	switch policy {
-	case InterruptedFull:
-		return mb
-	case InterruptedFree:
+// proratedMB is the network charge for a transfer of size mb evicted
+// after elapsed of its want seconds: a 500 MB checkpoint killed halfway
+// moved ~250 MB through the network.
+func proratedMB(mb, elapsed, want float64) float64 {
+	if want <= 0 {
 		return 0
-	default:
-		if want <= 0 {
-			return 0
-		}
-		return mb * elapsed / want
 	}
+	return mb * elapsed / want
 }
 
 // Run simulates the job over the given availability durations using
@@ -225,16 +160,6 @@ func Run(avail []float64, planner Planner, cfg Config) (Result, error) {
 	}
 	if cfg.CheckpointMB < 0 {
 		return Result{}, fmt.Errorf("sim: negative checkpoint size %g", cfg.CheckpointMB)
-	}
-	var pred *predict.Predictor
-	var prng *rand.Rand
-	if cfg.Predict.Enabled() {
-		p, err := predict.New(cfg.Predict)
-		if err != nil {
-			return Result{}, err
-		}
-		pred = p
-		prng = rand.New(rand.NewSource(predict.StreamSeed(cfg.PredictSeed)))
 	}
 	C, R := cfg.Costs.C, cfg.Costs.R
 	tr, pid := cfg.Trace, cfg.TracePid
@@ -258,186 +183,40 @@ func Run(avail []float64, planner Planner, cfg Config) (Result, error) {
 		age := 0.0
 		remaining := a
 
-		// Draw this period's predictor alarms up front (the oracle knows
-		// the eviction lands at a). Alarms are consumed in firing order
-		// at decision points; predictor events live on trace lane tid 2.
-		alarms := pred.PeriodEvents(a, prng)
-		ai := 0
-		trueFired := false
-		migrated := false
-		fireAlarm := func(ev predict.Event) {
-			res.Predictions++
-			if ev.True {
-				trueFired = true
-			} else {
-				res.PredFalse++
-			}
-			predict.Metrics.Fired.Inc()
+		if remaining < R {
+			// Evicted during recovery.
+			charged := proratedMB(cfg.CheckpointMB, remaining, R)
+			res.RecoveryTime += remaining
+			res.FailedRecoveries++
+			res.MBTransferred += charged
+			so.advanceBefore(elapsed)
+			so.addMB(charged)
+			so.evict()
 			if tr != nil {
-				tr.EventAt(pid, 2, "predict.fired", start+ev.At, obs.AttrBool("true", ev.True))
-				if !ev.True {
-					tr.EventAt(pid, 2, "predict.false", start+ev.At)
-				}
+				tr.SpanAt(pid, 1, "transfer.recovery", now, remaining,
+					obs.AttrStr("outcome", "interrupted"), obs.AttrFloat("mb", charged))
+				tr.EventAt(pid, 1, "evicted", start+a)
 			}
-			if !ev.True {
-				predict.Metrics.False.Inc()
-			}
+			so.periodEnd(elapsed, &res)
+			continue
 		}
-		// endPeriod settles the predictor books when the eviction lands:
-		// alarms the job never reached a decision point for still fired,
-		// and the failure is a hit or a miss depending on whether a true
-		// alarm preceded it. A migrated-away job experiences no eviction.
-		endPeriod := func() {
-			if pred == nil || migrated {
-				return
-			}
-			for ; ai < len(alarms); ai++ {
-				fireAlarm(alarms[ai])
-			}
-			if trueFired {
-				res.PredHits++
-				predict.Metrics.Hits.Inc()
-				if tr != nil {
-					tr.EventAt(pid, 2, "predict.hit", start+a)
-				}
-			} else {
-				res.PredMissed++
-				predict.Metrics.Missed.Inc()
-				if tr != nil {
-					tr.EventAt(pid, 2, "predict.miss", start+a)
-				}
-			}
+		res.RecoveryTime += R
+		res.Recoveries++
+		res.MBTransferred += cfg.CheckpointMB
+		so.advanceBefore(now + R)
+		so.addMB(cfg.CheckpointMB)
+		if tr != nil {
+			tr.SpanAt(pid, 1, "transfer.recovery", now, R,
+				obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", cfg.CheckpointMB))
 		}
-
-		if !(idx == 0 && cfg.SkipFirstRecovery) {
-			if remaining < R {
-				// Evicted during recovery.
-				charged := chargeMB(cfg.CheckpointMB, remaining, R, false, cfg.Interrupted)
-				res.RecoveryTime += remaining
-				res.FailedRecoveries++
-				res.MBTransferred += charged
-				so.advanceBefore(elapsed)
-				so.addMB(charged)
-				so.evict()
-				if tr != nil {
-					tr.SpanAt(pid, 1, "transfer.recovery", now, remaining,
-						obs.AttrStr("outcome", "interrupted"), obs.AttrFloat("mb", charged))
-					tr.EventAt(pid, 1, "evicted", start+a)
-				}
-				endPeriod()
-				so.periodEnd(elapsed, &res)
-				continue
-			}
-			res.RecoveryTime += R
-			res.Recoveries++
-			res.MBTransferred += cfg.CheckpointMB
-			so.advanceBefore(now + R)
-			so.addMB(cfg.CheckpointMB)
-			if tr != nil {
-				tr.SpanAt(pid, 1, "transfer.recovery", now, R,
-					obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", cfg.CheckpointMB))
-			}
-			now += R
-			remaining -= R
-			age += R
-		}
+		now += R
+		remaining -= R
+		age += R
 
 		for remaining > 0 {
 			T, ok := planner.IntervalAt(age)
 			if !ok || T <= 0 {
 				return Result{}, fmt.Errorf("sim: planner returned invalid interval %g at age %g", T, age)
-			}
-
-			// Settle alarms that fired while the job was busy (mid-recovery
-			// or mid-checkpoint). A proactive checkpoint here would commit
-			// no new work, so only migration acts; the alarms still count.
-			actNow := false
-			for ai < len(alarms) && alarms[ai].At <= age {
-				fireAlarm(alarms[ai])
-				ai++
-				if cfg.Policy == predict.PolicyMigrate {
-					actNow = true
-				}
-			}
-			// An alarm due mid-interval interrupts the interval at its
-			// firing instant under the proactive and migrate policies (the
-			// job cannot tell true alarms from false ones — that is what
-			// precision costs).
-			w := 0.0
-			if !actNow && cfg.Policy != predict.PolicyReactive &&
-				ai < len(alarms) && alarms[ai].At < age+T {
-				w = alarms[ai].At - age
-				fireAlarm(alarms[ai])
-				ai++
-				actNow = true
-			}
-			if actNow {
-				kind := "transfer.checkpoint"
-				if cfg.Policy == predict.PolicyMigrate {
-					kind = "transfer.migrate"
-				}
-				switch {
-				case remaining >= w+C:
-					// The image makes it out before the predicted failure.
-					res.UsefulWork += w
-					res.CheckpointTime += C
-					res.MBTransferred += cfg.CheckpointMB
-					so.advanceBefore(now + w + C)
-					so.addMB(cfg.CheckpointMB)
-					if tr != nil {
-						tr.SpanAt(pid, 1, kind, now+w, C,
-							obs.AttrStr("outcome", "done"),
-							obs.AttrFloat("mb", cfg.CheckpointMB),
-							obs.AttrStr("trigger", "predict"))
-					}
-					if cfg.Policy == predict.PolicyMigrate {
-						res.Migrations++
-						res.MigrationMB += cfg.CheckpointMB
-						predict.Metrics.Migrations.Inc()
-						// The job left for a fresher resource: the tail of
-						// this period is no longer occupied time, so the
-						// migration costs one transfer plus the next
-						// period's recovery.
-						res.TotalTime -= remaining - (w + C)
-						migrated = true
-						remaining = 0
-					} else {
-						res.ProactiveCheckpoints++
-						predict.Metrics.ProactiveCheckpoints.Inc()
-						now += w + C
-						remaining -= w + C
-						age += w + C
-					}
-				case remaining > w:
-					// The real eviction lands mid-transfer: the alarm came
-					// too late (or the image is too large) to finish.
-					partial := remaining - w
-					charged := chargeMB(cfg.CheckpointMB, partial, C, false, cfg.Interrupted)
-					res.LostWork += w
-					res.CheckpointTime += partial
-					res.FailedCheckpoints++
-					res.MBTransferred += charged
-					so.advanceBefore(elapsed)
-					so.addMB(charged)
-					so.evict()
-					if tr != nil {
-						tr.SpanAt(pid, 1, kind, now+w, partial,
-							obs.AttrStr("outcome", "interrupted"), obs.AttrFloat("mb", charged))
-						tr.EventAt(pid, 1, "evicted", start+a)
-					}
-					remaining = 0
-				default:
-					// Evicted at the alarm instant itself.
-					res.LostWork += w
-					res.FailedIntervals++
-					so.advanceBefore(elapsed)
-					so.evict()
-					if tr != nil {
-						tr.EventAt(pid, 1, "evicted", start+a)
-					}
-					remaining = 0
-				}
-				continue
 			}
 			switch {
 			case remaining >= T+C:
@@ -462,7 +241,7 @@ func Run(avail []float64, planner Planner, cfg Config) (Result, error) {
 				// Evicted mid-checkpoint: the interval's work is lost
 				// and the partial transfer still crossed the network.
 				partial := remaining - T
-				charged := chargeMB(cfg.CheckpointMB, partial, C, false, cfg.Interrupted)
+				charged := proratedMB(cfg.CheckpointMB, partial, C)
 				res.LostWork += T
 				res.CheckpointTime += partial
 				res.FailedCheckpoints++
@@ -487,11 +266,7 @@ func Run(avail []float64, planner Planner, cfg Config) (Result, error) {
 				}
 				remaining = 0
 			}
-			if remaining <= 0 {
-				break
-			}
 		}
-		endPeriod()
 		so.periodEnd(elapsed, &res)
 	}
 	so.finish(elapsed)

@@ -99,45 +99,6 @@ func TestRunEvictionDuringRecovery(t *testing.T) {
 	}
 }
 
-func TestRunInterruptedPolicies(t *testing.T) {
-	run := func(p InterruptedPolicy) Result {
-		c := cfg(100)
-		c.Interrupted = p
-		res, err := Run([]float64{40}, FixedInterval(200), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if got := run(InterruptedProrated).MBTransferred; got != 200 {
-		t.Errorf("prorated = %g", got)
-	}
-	if got := run(InterruptedFull).MBTransferred; got != 500 {
-		t.Errorf("full = %g", got)
-	}
-	if got := run(InterruptedFree).MBTransferred; got != 0 {
-		t.Errorf("free = %g", got)
-	}
-}
-
-func TestRunSkipFirstRecovery(t *testing.T) {
-	c := cfg(100)
-	c.SkipFirstRecovery = true
-	// First availability needs no recovery: 300 s = one full cycle.
-	res, err := Run([]float64{300, 300}, FixedInterval(200), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second availability: recovery 100 then 200 work, evicted at
-	// exactly the moment work ends (no checkpoint time remains).
-	if res.Commits != 1 || res.Recoveries != 1 {
-		t.Errorf("commits=%d recoveries=%d", res.Commits, res.Recoveries)
-	}
-	if res.UsefulWork != 200 {
-		t.Errorf("useful = %g", res.UsefulWork)
-	}
-}
-
 func TestRunExactBoundaries(t *testing.T) {
 	// Availability exactly R: recovery completes, nothing else runs,
 	// and no failed interval is recorded.
