@@ -3,6 +3,7 @@ package ckptnet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -283,6 +284,119 @@ func TestManagerRejectsGarbage(t *testing.T) {
 	}
 	if n := len(mgr.Sessions()); n != 0 {
 		t.Errorf("garbage created %d sessions", n)
+	}
+}
+
+// scriptedManager accepts one connection, consumes the Hello, sends an
+// assignment of imgBytes and then runs script on the connection — a
+// stand-in manager for driving the process side through sequences the
+// real one never produces. The connection closes when script returns.
+func scriptedManager(t *testing.T, imgBytes int64, script func(conn net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := ReadFrame(conn, nil); err != nil {
+			return
+		}
+		assign := Assign{Model: fit.ModelExponential, Params: []float64{0.001}, CheckpointBytes: imgBytes, HeartbeatSec: 10}
+		if err := WriteFrame(conn, MsgAssign, assign); err != nil {
+			return
+		}
+		script(conn)
+	}()
+	return ln.Addr().String()
+}
+
+// TestNegativeByteCountRefused announces a negative stream length on
+// both sides of the protocol. The manager must hang up without an Ack
+// and without recording an image in any mode (a legacy frame used to
+// be acknowledged and committed as a -5 byte image, which the job's
+// next recovery then announced); the process must fail the recovery
+// as a malformed frame rather than schedule against it.
+func TestNegativeByteCountRefused(t *testing.T) {
+	mgr, err := NewManager(StaticAssigner(fit.ModelExponential, []float64{0.001}, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := mgr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	for _, mode := range []string{ModeLegacy, ModeFull, ModeDelta} {
+		job := "negative/" + mode
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := WriteFrame(conn, MsgHello, Hello{JobID: job}); err != nil {
+			t.Fatal(err)
+		}
+		if ft, err := ReadFrame(conn, nil); err != nil || ft != MsgAssign {
+			t.Fatalf("assign: %v %v", ft, err)
+		}
+		var begin DataBegin
+		if ft, err := ReadFrame(conn, &begin); err != nil || ft != MsgRecoveryBegin {
+			t.Fatalf("recovery begin: %v %v", ft, err)
+		}
+		if _, err := ReadData(conn, begin.Bytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(conn, MsgCheckpointBegin, DataBegin{Bytes: -5, Mode: mode}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if ft, err := ReadFrame(conn, nil); err == nil {
+			t.Errorf("mode %q: manager answered a negative byte count with frame type %d", mode, ft)
+		}
+		if rec, ok := mgr.Image(job); ok {
+			t.Errorf("mode %q: negative byte count committed %+v", mode, rec)
+		}
+	}
+
+	for _, mode := range []string{ModeLegacy, ModeFull} {
+		addr := scriptedManager(t, 1024, func(conn net.Conn) {
+			if WriteFrame(conn, MsgRecoveryBegin, DataBegin{Bytes: -5, Mode: mode}) == nil {
+				_, _ = ReadFrame(conn, nil) // hold the connection until the process gives up
+			}
+		})
+		_, err := RunProcess(context.Background(), ProcessConfig{
+			Addr: addr, JobID: "negative-recovery", TimeScale: 1e-4, MaxIntervals: 1,
+		})
+		if !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("mode %q: recovery of -5 bytes ended with %v, want ErrMalformedFrame", mode, err)
+		}
+	}
+}
+
+// TestImageBuiltBeforeRecoveryClock pins what the recovery stopwatch
+// covers: the synthetic image of a delta process is built once the
+// assignment is known, not between reading the recovery frame and
+// stopping the clock, so RecoverySec and the first measured C are
+// transfer time only. The manager here withholds MsgRecoveryBegin; the
+// image must exist anyway.
+func TestImageBuiltBeforeRecoveryClock(t *testing.T) {
+	const imgBytes = 64 << 10
+	addr := scriptedManager(t, imgBytes, func(net.Conn) {})
+	st := &procState{}
+	err := runSession(context.Background(), ProcessConfig{
+		Addr: addr, JobID: "stopwatch", TimeScale: 1e-4, Delta: &DeltaConfig{ChunkSize: 4096},
+	}, &ProcessReport{}, st, 0)
+	if err == nil {
+		t.Fatal("session without a recovery frame succeeded")
+	}
+	if st.img == nil || st.img.Size() != imgBytes {
+		t.Fatalf("image not built before the recovery frame was read (img=%v)", st.img)
 	}
 }
 

@@ -12,10 +12,8 @@ import (
 	"github.com/cycleharvest/ckptsched/internal/imagestore"
 )
 
-// TestZeroCRCCacheChurn churns 10k distinct sizes through ZeroCRC. The
-// cache is a fixed direct-mapped table, so this is bounded by
-// construction (zeroCRCSlots entries, no growth); the test pins that
-// collisions and evictions never change answers.
+// TestZeroCRCCacheChurn churns 10k distinct sizes through ZeroCRC and
+// pins that the memo never changes an answer, first time or repeated.
 func TestZeroCRCCacheChurn(t *testing.T) {
 	if ZeroCRC(0) != 0 || ZeroCRC(-5) != 0 {
 		t.Fatal("ZeroCRC of non-positive size must be 0")

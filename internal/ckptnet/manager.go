@@ -108,15 +108,14 @@ type Manager struct {
 	metrics  managerMetrics
 
 	// store holds the committed content of jobs that checkpoint in a
-	// content mode (full or delta); legacy zero-stream jobs only touch
-	// the images metadata map.
+	// content mode (full or delta), and is where deltas are applied.
 	store *imagestore.Store
 
 	mu       sync.Mutex
 	listener net.Listener
 	sessions []*SessionLog
 	byJob    map[string]*SessionLog
-	images   map[string]ImageRecord
+	images   map[string]image // written by commit alone
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 	closed   bool
@@ -141,7 +140,7 @@ func NewManagerOpts(a Assigner, opts Options) (*Manager, error) {
 		metrics:  newManagerMetrics(opts.Metrics),
 		store:    imagestore.NewStore(),
 		byJob:    make(map[string]*SessionLog),
-		images:   make(map[string]ImageRecord),
+		images:   make(map[string]image),
 		conns:    make(map[net.Conn]struct{}),
 	}, nil
 }
@@ -272,34 +271,80 @@ func (m *Manager) Sessions() []*SessionLog {
 	return out
 }
 
+// image is a job's last good checkpoint as commit recorded it: the
+// exported metadata plus, for a content-mode job, the committed bytes
+// (aliasing the store's copy, which is never mutated in place). The
+// next recovery announces and streams exactly this.
+type image struct {
+	ImageRecord
+	data []byte // nil for a legacy zero image
+}
+
 // Image returns the last good checkpoint image record for a job, if
 // one has ever been committed.
 func (m *Manager) Image(jobID string) (ImageRecord, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec, ok := m.images[jobID]
-	return rec, ok
+	img, ok := m.images[jobID]
+	return img.ImageRecord, ok
 }
 
-// commitImage atomically replaces a job's last good image record; it
-// is called only after the full stream arrived and its CRC verified.
-func (m *Manager) commitImage(jobID string, bytes int64, crc uint32) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rec := m.images[jobID]
-	rec.Generation++
-	rec.Bytes = bytes
-	rec.CRC32 = crc
-	m.images[jobID] = rec
-}
+// errMode reports a DataBegin announcing a transfer mode this manager
+// does not know.
+var errMode = errors.New("ckptnet: unknown transfer mode")
 
-// setImage records a content-mode commit's metadata, keeping the
-// ImageRecord generation in lockstep with the store's (the store is
-// the source of truth for content jobs).
-func (m *Manager) setImage(jobID string, rec ImageRecord) {
+// commit makes a received checkpoint the job's last good image, in any
+// mode, and is the only writer of the image record. It is called once
+// the whole stream has arrived and b.CRC32 holds its verified checksum.
+// A legacy image is its size and checksum; a content image is decoded
+// (inflated when b announces an encoding) and committed to the store
+// whole or applied as a delta, and the record is then read back from
+// the store, the source of its generation. Any error leaves the last
+// good image untouched and maps to a Nack in serve.
+func (m *Manager) commit(jobID string, b DataBegin, payload []byte) (ImageRecord, error) {
+	img := image{ImageRecord: ImageRecord{Bytes: b.Bytes, CRC32: b.CRC32}}
+	switch b.Mode {
+	case ModeLegacy:
+	case ModeFull, ModeDelta:
+		data := payload
+		switch b.Encoding {
+		case "":
+			if b.RawBytes != 0 && b.RawBytes != int64(len(payload)) {
+				return ImageRecord{}, fmt.Errorf("ckptnet: raw_bytes %d but %d payload bytes arrived", b.RawBytes, len(payload))
+			}
+		case "flate":
+			if b.RawBytes < 0 || b.RawBytes > MaxImageBytes {
+				return ImageRecord{}, fmt.Errorf("ckptnet: inflated size %d out of range", b.RawBytes)
+			}
+			var err error
+			if data, err = imagestore.Decompress(payload, b.RawBytes); err != nil {
+				return ImageRecord{}, err
+			}
+		default:
+			return ImageRecord{}, fmt.Errorf("ckptnet: unknown encoding %q", b.Encoding)
+		}
+		if b.ChunkSize <= 0 {
+			b.ChunkSize = imagestore.DefaultChunkSize
+		}
+		if b.Mode == ModeFull {
+			m.store.CommitFull(jobID, data, b.ChunkSize)
+		} else if _, _, err := m.store.ApplyDelta(jobID, imagestore.Delta{
+			BaseGen: b.BaseGen, ChunkSize: b.ChunkSize, Size: b.ImageBytes, Dirty: b.Dirty, Sums: b.Sums,
+		}, data); err != nil {
+			return ImageRecord{}, err
+		}
+		img.data, _, img.Generation, img.CRC32, _ = m.store.Lookup(jobID)
+		img.Bytes = int64(len(img.data))
+	default:
+		return ImageRecord{}, fmt.Errorf("%w %q", errMode, b.Mode)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.images[jobID] = rec
+	if b.Mode == ModeLegacy {
+		img.Generation = m.images[jobID].Generation + 1
+	}
+	m.images[jobID] = img
+	return img.ImageRecord, nil
 }
 
 // sessionFor finds or creates the SessionLog for a hello: a resuming
@@ -389,14 +434,16 @@ func (m *Manager) serve(conn net.Conn) {
 	// an unknown (zero) byte count and relies on its own timing
 	// elsewhere.
 	recBegin := DataBegin{Bytes: assign.CheckpointBytes, CRC32: ZeroCRC(assign.CheckpointBytes)}
-	var recData []byte
-	if data, _, gen, crc, ok := m.store.Lookup(hello.JobID); ok && gen > 0 {
+	m.mu.Lock()
+	img, ok := m.images[hello.JobID]
+	m.mu.Unlock()
+	if ok {
+		recBegin.Bytes, recBegin.CRC32 = img.Bytes, img.CRC32
+	}
+	if img.data != nil {
 		// Content job: stream the committed image itself and announce
 		// its generation so the client re-adopts it as a delta base.
-		recData = data
-		recBegin = DataBegin{Bytes: int64(len(data)), CRC32: crc, Mode: ModeFull, Gen: gen}
-	} else if rec, ok := m.Image(hello.JobID); ok {
-		recBegin.Bytes, recBegin.CRC32 = rec.Bytes, rec.CRC32
+		recBegin.Mode, recBegin.Gen = ModeFull, img.Generation
 	}
 	if err := WriteFrame(rw, MsgRecoveryBegin, recBegin); err != nil {
 		return
@@ -404,22 +451,13 @@ func (m *Manager) serve(conn net.Conn) {
 	rsp := tr.StartSpan(pid, tid, "transfer.recovery").SetAttr(
 		obs.AttrInt("bytes", recBegin.Bytes),
 		obs.AttrStr("mode", recBegin.Mode))
-	if recData != nil {
-		err = WriteRawData(rw, recData)
-	} else {
-		err = WriteData(rw, recBegin.Bytes)
-	}
-	if err != nil {
+	if err := send(rw, recBegin, img.data); err != nil {
 		seq := m.record(log, EvRecoveryInterrupted, 0)
 		rsp.SetAttr(obs.AttrStr("outcome", "interrupted"), obs.AttrInt("seq", seq)).End()
 		return
 	}
-	recWire := 0.0
-	if recData != nil {
-		recWire = float64(recBegin.Bytes)
-	}
 	rsp.SetAttr(obs.AttrStr("outcome", "done"),
-		obs.AttrInt("seq", m.record(log, EvRecoveryDone, recWire))).End()
+		obs.AttrInt("seq", m.record(log, EvRecoveryDone, loggedBytes(recBegin)))).End()
 
 	// Event loop: heartbeats, T_opt reports, checkpoints — until the
 	// connection drops (eviction) or the stream turns to garbage.
@@ -431,25 +469,15 @@ func (m *Manager) serve(conn net.Conn) {
 	}
 	var lastHB time.Time
 	for {
-		var raw struct {
-			Topt      float64 `json:"topt"`
-			MeasuredC float64 `json:"measured_c"`
-			Age       float64 `json:"age"`
-			Elapsed   float64 `json:"elapsed"`
-			Bytes     int64   `json:"bytes"`
-			CRC32     uint32  `json:"crc32"`
-			Fallback  bool    `json:"fallback"`
-			// Delta-checkpoint extension (DataBegin's optional fields).
-			Mode       string                `json:"mode"`
-			Encoding   string                `json:"encoding"`
-			RawBytes   int64                 `json:"raw_bytes"`
-			ChunkSize  int                   `json:"chunk_size"`
-			ImageBytes int64                 `json:"image_bytes"`
-			BaseGen    int                   `json:"base_gen"`
-			Dirty      []int                 `json:"dirty"`
-			Sums       []imagestore.ChunkSum `json:"sums"`
+		// A process frame is a ToptReport, a Heartbeat or a DataBegin.
+		// Their JSON field names are disjoint (TestProcessFramesDisjoint),
+		// so one decode fills whichever the frame type then names.
+		var msg struct {
+			ToptReport
+			Heartbeat
+			DataBegin
 		}
-		t, err := ReadFrame(rw, &raw)
+		t, err := ReadFrame(rw, &msg)
 		if err != nil {
 			if errors.Is(err, ErrMalformedFrame) {
 				tr.Event(pid, tid, "torn_frame",
@@ -460,15 +488,15 @@ func (m *Manager) serve(conn net.Conn) {
 		}
 		switch t {
 		case MsgTopt:
-			seq := m.record(log, EvTopt, raw.Topt)
+			seq := m.record(log, EvTopt, msg.Topt)
 			tr.Event(pid, tid, "topt",
 				obs.AttrInt("seq", seq),
-				obs.AttrFloat("t_opt", raw.Topt),
-				obs.AttrBool("fallback", raw.Fallback))
-			if raw.Fallback {
+				obs.AttrFloat("t_opt", msg.Topt),
+				obs.AttrBool("fallback", msg.Fallback))
+			if msg.Fallback {
 				tr.Event(pid, tid, "fallback",
-					obs.AttrInt("seq", m.record(log, EvFallback, raw.Topt)),
-					obs.AttrFloat("t_opt", raw.Topt))
+					obs.AttrInt("seq", m.record(log, EvFallback, msg.Topt)),
+					obs.AttrFloat("t_opt", msg.Topt))
 			}
 		case MsgHeartbeat:
 			var gap float64
@@ -480,11 +508,11 @@ func (m *Manager) serve(conn net.Conn) {
 				}
 				lastHB = now
 			}
-			seq := m.record(log, EvHeartbeat, raw.Elapsed)
+			seq := m.record(log, EvHeartbeat, msg.Elapsed)
 			tr.Event(pid, tid, "heartbeat",
 				obs.AttrInt("seq", seq),
 				obs.AttrFloat("gap_s", gap),
-				obs.AttrFloat("elapsed", raw.Elapsed))
+				obs.AttrFloat("elapsed", msg.Elapsed))
 			if hbExpect > 0 && gap > 1.5*hbExpect {
 				tr.Event(pid, tid, "heartbeat.gap",
 					obs.AttrInt("seq", seq),
@@ -492,22 +520,12 @@ func (m *Manager) serve(conn net.Conn) {
 					obs.AttrFloat("expected_s", hbExpect))
 			}
 		case MsgCheckpointBegin:
+			begin := msg.DataBegin
 			csp := tr.StartSpan(pid, tid, "transfer.checkpoint").SetAttr(
-				obs.AttrInt("bytes", raw.Bytes),
-				obs.AttrStr("mode", raw.Mode))
-			// Content modes must buffer the stream to verify and commit
-			// it; the legacy zero stream is discarded as it arrives.
-			var (
-				payload []byte
-				got     int64
-				crc     uint32
-			)
-			if raw.Mode == ModeLegacy {
-				got, crc, err = ReadDataCRC(rw, raw.Bytes)
-			} else {
-				payload, got, crc, err = ReadDataBuf(rw, raw.Bytes)
-			}
-			if err != nil {
+				obs.AttrInt("bytes", begin.Bytes),
+				obs.AttrStr("mode", begin.Mode))
+			payload, got, crc, err := receive(rw, begin)
+			if err != nil && !errors.Is(err, errCRC) {
 				if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
 					csp.SetAttr(obs.AttrStr("outcome", "interrupted"),
 						obs.AttrInt("seq", m.record(log, EvCheckpointInterrupted, float64(got))),
@@ -517,73 +535,46 @@ func (m *Manager) serve(conn net.Conn) {
 				}
 				return
 			}
-			if raw.CRC32 != 0 && crc != raw.CRC32 {
-				// Corrupt image: reject it, keep the last good one, and
-				// tell the process so it can retry over this connection
-				// (the stream is still frame-aligned — we consumed
-				// exactly the announced byte count).
+			var rec ImageRecord
+			if err == nil {
+				begin.CRC32 = crc // verified if announced, measured if not
+				rec, err = m.commit(hello.JobID, begin, payload)
+			}
+			if err != nil {
+				// The stream arrived whole but is refused — corrupt in
+				// flight, a patch that does not apply (stale base, bad
+				// geometry or encoding, failed chunk verification), or an
+				// unknown mode. The last good image stands, and because
+				// exactly the announced bytes were consumed the connection
+				// is still frame-aligned: Nack, and the process retries on
+				// it (a refused delta as a full image).
+				cause, outcome := "delta", "delta_rejected"
+				switch {
+				case errors.Is(err, errCRC):
+					cause, outcome = "crc", "crc_rejected"
+				case errors.Is(err, errMode):
+					cause, outcome = "mode", "bad_mode"
+				}
 				seq := m.record(log, EvTornFrame, float64(got))
-				csp.SetAttr(obs.AttrStr("outcome", "crc_rejected"),
-					obs.AttrInt("seq", seq)).End()
+				csp.SetAttr(obs.AttrStr("outcome", outcome), obs.AttrInt("seq", seq)).End()
 				tr.Event(pid, tid, "torn_frame",
-					obs.AttrInt("seq", seq), obs.AttrStr("cause", "crc"))
+					obs.AttrInt("seq", seq), obs.AttrStr("cause", cause),
+					obs.AttrStr("error", err.Error()))
 				if err := WriteFrame(rw, MsgCheckpointNack, struct{}{}); err != nil {
 					return
 				}
 				continue
 			}
-			switch raw.Mode {
-			case ModeLegacy:
-				m.commitImage(hello.JobID, raw.Bytes, crc)
-				csp.SetAttr(obs.AttrStr("outcome", "committed"),
-					obs.AttrInt("seq", m.record(log, EvCheckpointDone, 0))).End()
-				rec, _ := m.Image(hello.JobID)
-				if err := WriteFrame(rw, MsgCheckpointAck, CheckpointAck{Gen: rec.Generation}); err != nil {
-					return
-				}
-			case ModeFull, ModeDelta:
-				gen, size, cerr := m.commitContent(hello.JobID, raw.Mode, raw.Encoding,
-					raw.RawBytes, raw.ImageBytes, raw.BaseGen, raw.ChunkSize, raw.Dirty, raw.Sums, payload)
-				if cerr != nil {
-					// The stream arrived intact but the patch doesn't
-					// apply (stale base, bad geometry, failed chunk
-					// verification) or the encoding is broken. The stream
-					// is frame-aligned — exactly Bytes were consumed — so
-					// Nack and let the client retry, typically as a full
-					// image.
-					seq := m.record(log, EvTornFrame, float64(got))
-					csp.SetAttr(obs.AttrStr("outcome", "delta_rejected"),
-						obs.AttrInt("seq", seq)).End()
-					tr.Event(pid, tid, "torn_frame",
-						obs.AttrInt("seq", seq), obs.AttrStr("cause", "delta"),
-						obs.AttrStr("error", cerr.Error()))
-					if err := WriteFrame(rw, MsgCheckpointNack, struct{}{}); err != nil {
-						return
-					}
-					continue
-				}
-				kind, val := EvCheckpointDone, float64(raw.Bytes)
-				if raw.Mode == ModeDelta {
-					kind, val = EvDeltaCheckpointDone, float64(raw.Bytes)
-				}
-				csp.SetAttr(obs.AttrStr("outcome", "committed"),
-					obs.AttrInt("gen", int64(gen)),
-					obs.AttrInt("image_bytes", size),
-					obs.AttrInt("seq", m.record(log, kind, val))).End()
-				if err := WriteFrame(rw, MsgCheckpointAck, CheckpointAck{Gen: gen}); err != nil {
-					return
-				}
-			default:
-				// Unknown mode: refuse rather than commit garbage; the
-				// stream stays aligned.
-				seq := m.record(log, EvTornFrame, float64(got))
-				csp.SetAttr(obs.AttrStr("outcome", "bad_mode"),
-					obs.AttrInt("seq", seq)).End()
-				tr.Event(pid, tid, "torn_frame",
-					obs.AttrInt("seq", seq), obs.AttrStr("cause", "mode"))
-				if err := WriteFrame(rw, MsgCheckpointNack, struct{}{}); err != nil {
-					return
-				}
+			kind := EvCheckpointDone
+			if begin.Mode == ModeDelta {
+				kind = EvDeltaCheckpointDone
+			}
+			csp.SetAttr(obs.AttrStr("outcome", "committed"),
+				obs.AttrInt("gen", int64(rec.Generation)),
+				obs.AttrInt("image_bytes", rec.Bytes),
+				obs.AttrInt("seq", m.record(log, kind, loggedBytes(begin)))).End()
+			if err := WriteFrame(rw, MsgCheckpointAck, CheckpointAck{Gen: rec.Generation}); err != nil {
+				return
 			}
 		default:
 			// Unknown frame type: the stream lost alignment (a dropped
@@ -596,47 +587,14 @@ func (m *Manager) serve(conn net.Conn) {
 	}
 }
 
-// commitContent commits a verified content-mode checkpoint stream:
-// decode the payload (inflating when the client announced an encoding),
-// then commit it to the store as a full image or apply it as a delta
-// patch. The returned size is the committed image length. Any error
-// leaves the last good image untouched and maps to a Nack in serve.
-func (m *Manager) commitContent(jobID, mode, encoding string, rawBytes, imageBytes int64,
-	baseGen, chunkSize int, dirty []int, sums []imagestore.ChunkSum, payload []byte) (gen int, size int64, err error) {
-	data := payload
-	switch encoding {
-	case "":
-		if rawBytes != 0 && rawBytes != int64(len(payload)) {
-			return 0, 0, fmt.Errorf("ckptnet: raw_bytes %d but %d payload bytes arrived", rawBytes, len(payload))
-		}
-	case "flate":
-		if rawBytes < 0 || rawBytes > MaxImageBytes {
-			return 0, 0, fmt.Errorf("ckptnet: inflated size %d out of range", rawBytes)
-		}
-		if data, err = imagestore.Decompress(payload, rawBytes); err != nil {
-			return 0, 0, err
-		}
-	default:
-		return 0, 0, fmt.Errorf("ckptnet: unknown encoding %q", encoding)
+// loggedBytes is the SessionLog value of a completed transfer: the wire
+// bytes of a content stream, and 0 for a legacy one, which Summary.add
+// bills at the assigned image size.
+func loggedBytes(b DataBegin) float64 {
+	if b.Mode == ModeLegacy {
+		return 0
 	}
-	if chunkSize <= 0 {
-		chunkSize = imagestore.DefaultChunkSize
-	}
-	switch mode {
-	case ModeFull:
-		g, _, icrc := m.store.CommitFull(jobID, data, chunkSize)
-		m.setImage(jobID, ImageRecord{Generation: g, Bytes: int64(len(data)), CRC32: icrc})
-		return g, int64(len(data)), nil
-	case ModeDelta:
-		d := imagestore.Delta{BaseGen: baseGen, ChunkSize: chunkSize, Size: imageBytes, Dirty: dirty, Sums: sums}
-		g, icrc, derr := m.store.ApplyDelta(jobID, d, data)
-		if derr != nil {
-			return 0, 0, derr
-		}
-		m.setImage(jobID, ImageRecord{Generation: g, Bytes: imageBytes, CRC32: icrc})
-		return g, imageBytes, nil
-	}
-	return 0, 0, fmt.Errorf("ckptnet: unknown transfer mode %q", mode)
+	return float64(b.Bytes)
 }
 
 // String describes the manager for logs.

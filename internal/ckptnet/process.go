@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net"
 	"time"
@@ -184,9 +185,7 @@ func RunProcess(ctx context.Context, cfg ProcessConfig) (*ProcessReport, error) 
 	pol.setDefaults()
 	seed := pol.Seed
 	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(cfg.JobID))
-		seed = int64(h.Sum64())
+		seed = jobSeed(cfg.JobID)
 	}
 	rng := rand.New(rand.NewSource(seed))
 
@@ -222,8 +221,22 @@ func RunProcess(ctx context.Context, cfg ProcessConfig) (*ProcessReport, error) 
 	}
 }
 
-// errTornRecovery reports a recovery stream whose CRC did not match.
-var errTornRecovery = errors.New("ckptnet: recovery image failed CRC check")
+// jobSeed derives a deterministic PRNG seed from a job-scoped name.
+func jobSeed(name string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return int64(h.Sum64())
+}
+
+// expectFrame reads the next frame into out and fails with
+// ErrUnexpectedFrame unless it has the type the protocol calls for.
+func expectFrame(r io.Reader, want MsgType, out any) error {
+	t, err := ReadFrame(r, out)
+	if err == nil && t != want {
+		err = ErrUnexpectedFrame
+	}
+	return err
+}
 
 // runSession runs one connection's worth of the protocol, from dial to
 // voluntary completion (nil) or transport failure (error). Cross-
@@ -262,10 +275,7 @@ func runSession(ctx context.Context, cfg ProcessConfig, rep *ProcessReport, st *
 		return err
 	}
 	var assign Assign
-	if t, err := ReadFrame(rw, &assign); err != nil || t != MsgAssign {
-		if err == nil {
-			err = ErrUnexpectedFrame
-		}
+	if err := expectFrame(rw, MsgAssign, &assign); err != nil {
 		return err
 	}
 	rep.Assign = assign
@@ -278,52 +288,36 @@ func runSession(ctx context.Context, cfg ProcessConfig, rep *ProcessReport, st *
 		frameTO = frameTimeout(hb, cfg.TimeScale, 4, 2*time.Second, 10*time.Second)
 	}
 	rw.ReadTimeout, rw.WriteTimeout = frameTO, frameTO
+	if cfg.Delta != nil && st.img == nil {
+		// Built before the recovery clock starts: synthesizing the image
+		// is harness work, not transfer time.
+		seed := cfg.Delta.Seed
+		if seed == 0 {
+			seed = jobSeed("img:" + cfg.JobID)
+		}
+		st.img = imagestore.NewImage(assign.CheckpointBytes, cfg.Delta.ChunkSize, seed)
+	}
 
 	// Recovery, timed. On resume the manager streams its last good
 	// image; either way the measured duration re-seeds the cost
 	// estimate.
 	var begin DataBegin
-	if t, err := ReadFrame(rw, &begin); err != nil || t != MsgRecoveryBegin {
-		if err == nil {
-			err = ErrUnexpectedFrame
-		}
+	if err := expectFrame(rw, MsgRecoveryBegin, &begin); err != nil {
 		return err
 	}
 	start := time.Now()
-	var (
-		crc     uint32
-		recData []byte
-	)
-	if begin.Mode == ModeLegacy {
-		_, crc, err = ReadDataCRC(rw, begin.Bytes)
-	} else {
-		// Content recovery: the manager streams the committed image
-		// itself; keep it so the delta state can re-adopt it.
-		recData, _, crc, err = ReadDataBuf(rw, begin.Bytes)
-	}
+	recData, _, _, err := receive(rw, begin)
 	if err != nil {
+		if errors.Is(err, errCRC) {
+			rep.TornFrames++
+		}
 		return err
 	}
-	if begin.CRC32 != 0 && crc != begin.CRC32 {
-		rep.TornFrames++
-		return errTornRecovery
-	}
-	if cfg.Delta != nil {
-		if st.img == nil {
-			seed := cfg.Delta.Seed
-			if seed == 0 {
-				h := fnv.New64a()
-				h.Write([]byte("img:" + cfg.JobID))
-				seed = int64(h.Sum64())
-			}
-			st.img = imagestore.NewImage(assign.CheckpointBytes, cfg.Delta.ChunkSize, seed)
-		}
-		if recData != nil && begin.Gen > 0 {
-			// Resume against the manager's committed generation: adopt
-			// it as both content and delta base, so the first
-			// post-recovery checkpoint can already go out as a delta.
-			st.img.Adopt(recData, begin.Gen)
-		}
+	if cfg.Delta != nil && recData != nil && begin.Gen > 0 {
+		// Resume against the manager's committed generation: adopt it
+		// as both content and delta base, so the first post-recovery
+		// checkpoint can already go out as a delta.
+		st.img.Adopt(recData, begin.Gen)
 	}
 	st.wallC = time.Since(start)
 	recSec := st.wallC.Seconds() / cfg.TimeScale
@@ -397,22 +391,15 @@ func runSession(ctx context.Context, cfg ProcessConfig, rep *ProcessReport, st *
 		forceFull := false
 		for try := 0; ; try++ {
 			ckptStart := time.Now()
-			var begin DataBegin
+			begin := DataBegin{Bytes: assign.CheckpointBytes, CRC32: ZeroCRC(assign.CheckpointBytes)}
 			var wire []byte
 			if cfg.Delta != nil {
 				begin, wire = encodeCheckpoint(st.img, cfg.Delta, forceFull)
-			} else {
-				begin = DataBegin{Bytes: assign.CheckpointBytes, CRC32: ZeroCRC(assign.CheckpointBytes)}
 			}
 			if err := WriteFrame(rw, MsgCheckpointBegin, begin); err != nil {
 				return err
 			}
-			if cfg.Delta != nil {
-				err = WriteRawData(rw, wire)
-			} else {
-				err = WriteData(rw, begin.Bytes)
-			}
-			if err != nil {
+			if err := send(rw, begin, wire); err != nil {
 				return err
 			}
 			// The ack arrives only after the manager drained the whole

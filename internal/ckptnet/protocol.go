@@ -295,20 +295,45 @@ func ReadDataCRC(r io.Reader, n int64) (got int64, crc uint32, err error) {
 	return got, crc, nil
 }
 
-// zeroCRCSlots sizes the ZeroCRC memo table. The table is
-// direct-mapped and fixed-size: a campaign reuses a handful of image
-// sizes, so collisions are rare, and when delta transfers make sizes
-// vary per checkpoint the cache stays bounded instead of growing one
-// sync.Map entry per distinct size forever.
-const zeroCRCSlots = 512
+// errCRC reports a stream that arrived whole but does not match the
+// checksum its DataBegin announced.
+var errCRC = errors.New("ckptnet: stream failed CRC check")
 
-// zeroCRCCache memoizes ZeroCRC by size in a fixed table. slot 0 is
-// distinguishable because size 0 short-circuits before the table.
-var zeroCRCCache struct {
-	mu    sync.Mutex
-	sizes [zeroCRCSlots]int64
-	crcs  [zeroCRCSlots]uint32
+// receive consumes the raw stream b announces — the one receive both
+// sides use, for recovery and checkpoint alike. The legacy zero stream
+// is discarded as it arrives; content modes are buffered (bounded by
+// MaxImageBytes) because they must be verified and committed whole. A
+// negative count is refused before a byte is read. crc is the checksum
+// of what arrived; when b announces one and it differs the error is
+// errCRC, and because exactly b.Bytes bytes were consumed the frame
+// stream is still aligned for a Nack. got is short on an I/O error.
+func receive(r io.Reader, b DataBegin) (payload []byte, got int64, crc uint32, err error) {
+	if b.Bytes < 0 {
+		return nil, 0, 0, fmt.Errorf("ckptnet: transfer of %d bytes: %w", b.Bytes, ErrMalformedFrame)
+	}
+	if b.Mode == ModeLegacy {
+		got, crc, err = ReadDataCRC(r, b.Bytes)
+	} else {
+		payload, got, crc, err = ReadDataBuf(r, b.Bytes)
+	}
+	if err == nil && b.CRC32 != 0 && crc != b.CRC32 {
+		err = errCRC
+	}
+	return payload, got, crc, err
 }
+
+// send writes the raw stream b announces, after its frame: b.Bytes
+// zeros in legacy mode, data in the content modes.
+func send(w io.Writer, b DataBegin, data []byte) error {
+	if b.Mode == ModeLegacy {
+		return WriteData(w, b.Bytes)
+	}
+	return WriteRawData(w, data)
+}
+
+// zeroCRCMemo memoizes ZeroCRC by size (int64 → uint32). Callers pass
+// the assigned image size, so a run holds a handful of entries.
+var zeroCRCMemo sync.Map
 
 // ZeroCRC returns the IEEE CRC32 of n zero bytes — the checksum of the
 // pseudo-payload WriteData streams, announced in DataBegin so the
@@ -317,16 +342,9 @@ func ZeroCRC(n int64) uint32 {
 	if n <= 0 {
 		return 0
 	}
-	// Fibonacci-hash the size into a direct-mapped slot; a collision
-	// just evicts (recompute on the next miss).
-	slot := (uint64(n) * 0x9E3779B97F4A7C15) >> 55 % zeroCRCSlots
-	zeroCRCCache.mu.Lock()
-	if zeroCRCCache.sizes[slot] == n {
-		crc := zeroCRCCache.crcs[slot]
-		zeroCRCCache.mu.Unlock()
-		return crc
+	if crc, ok := zeroCRCMemo.Load(n); ok {
+		return crc.(uint32)
 	}
-	zeroCRCCache.mu.Unlock()
 	buf := make([]byte, chunkSize)
 	var crc uint32
 	for left := n; left > 0; {
@@ -337,9 +355,6 @@ func ZeroCRC(n int64) uint32 {
 		crc = crc32.Update(crc, crc32.IEEETable, buf[:c])
 		left -= c
 	}
-	zeroCRCCache.mu.Lock()
-	zeroCRCCache.sizes[slot] = n
-	zeroCRCCache.crcs[slot] = crc
-	zeroCRCCache.mu.Unlock()
+	zeroCRCMemo.Store(n, crc)
 	return crc
 }

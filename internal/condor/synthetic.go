@@ -19,34 +19,27 @@ type SyntheticPoolConfig struct {
 	Machines int
 	// Seed makes generation deterministic.
 	Seed int64
-	// MedianIdleScale centers the per-machine Weibull scale spread;
-	// zero means the paper's 3409 s.
-	MedianIdleScale float64
-	// SmallMemoryFraction is the fraction of machines with < 512 MB
-	// (unusable by the paper's 500 MB-checkpoint test application);
-	// zero means 0.15.
-	SmallMemoryFraction float64
 	// DiurnalAmplitude, when positive, gives every machine a
 	// time-of-day idle-duration modulation (see condor.Machine); zero
 	// keeps the stationary pool the calibrated tables use.
 	DiurnalAmplitude float64
 }
 
-func (c *SyntheticPoolConfig) setDefaults() {
-	if c.MedianIdleScale <= 0 {
-		c.MedianIdleScale = 3409
-	}
-	if c.SmallMemoryFraction <= 0 {
-		c.SmallMemoryFraction = 0.15
-	}
-}
+const (
+	// medianIdleScale centers the per-machine Weibull scale spread at
+	// the paper's 3409 s.
+	medianIdleScale = 3409
+	// smallMemoryFraction is the fraction of machines with < 512 MB
+	// (unusable by the paper's 500 MB-checkpoint test application).
+	smallMemoryFraction = 0.15
+)
 
 // SyntheticPool generates the machine specifications for a
 // heterogeneous desktop pool:
 //
 //   - ~20% of machines draw idle periods from per-machine Weibulls
 //     with shape ~ U[0.33, 0.55] and lognormal scale around
-//     MedianIdleScale — the decreasing-hazard regime the paper
+//     medianIdleScale — the decreasing-hazard regime the paper
 //     measures (its reported machine fits Weibull(0.43, 3409));
 //   - ~50% draw from bimodal mixtures of short interactive-use gaps
 //     (exponential, minutes) and long overnight/weekend stretches
@@ -58,7 +51,6 @@ func SyntheticPool(cfg SyntheticPoolConfig) ([]Machine, error) {
 	if cfg.Machines <= 0 {
 		return nil, fmt.Errorf("condor: need a positive machine count, got %d", cfg.Machines)
 	}
-	cfg.setDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	machines := make([]Machine, 0, cfg.Machines)
 	for i := range cfg.Machines {
@@ -66,7 +58,7 @@ func SyntheticPool(cfg SyntheticPoolConfig) ([]Machine, error) {
 		switch kind := rng.Float64(); {
 		case kind < 0.20:
 			shape := 0.33 + 0.22*rng.Float64()
-			scale := cfg.MedianIdleScale * math.Exp(0.7*rng.NormFloat64())
+			scale := medianIdleScale * math.Exp(0.7*rng.NormFloat64())
 			idle = dist.NewWeibull(shape, scale)
 		case kind < 0.70:
 			// Bimodal: interactive gaps of a few minutes against
@@ -93,7 +85,7 @@ func SyntheticPool(cfg SyntheticPoolConfig) ([]Machine, error) {
 		}
 		busyMean := 1800 + 12600*rng.Float64()
 		mem := 512 << uint(rng.Intn(3)) // 512, 1024, 2048 MB
-		if rng.Float64() < cfg.SmallMemoryFraction {
+		if rng.Float64() < smallMemoryFraction {
 			mem = 256
 		}
 		arch := "x86"

@@ -49,6 +49,10 @@ var CensoringStrategies = []CensoringStrategy{
 	CensorDrop, CensorNaive, CensorAware, CensorLongTrain,
 }
 
+// studyCTime is the checkpoint/recovery cost, in seconds, of the
+// censoring and sensitivity extension studies.
+const studyCTime = 500.0
+
 // CensoringConfig parameterizes the censoring-sensitivity study (an
 // extension quantifying the §5.3 discussion: short measurement windows
 // right-censor availability data and bias naive fits).
@@ -60,9 +64,6 @@ type CensoringConfig struct {
 	// Months is the full campaign used for the reference fit and the
 	// experimental replay. Default 18.
 	Months float64
-	// CTime is the checkpoint/recovery cost for the replay. Default
-	// 500 s.
-	CTime float64
 	// Seed makes the study deterministic.
 	Seed int64
 }
@@ -76,9 +77,6 @@ func (c *CensoringConfig) setDefaults() {
 	}
 	if c.Months <= 0 {
 		c.Months = 18
-	}
-	if c.CTime <= 0 {
-		c.CTime = 500
 	}
 }
 
@@ -149,7 +147,7 @@ func RunCensoring(cfg CensoringConfig) (*CensoringResult, error) {
 	}
 
 	res := &CensoringResult{Config: cfg}
-	costs := markov.Costs{C: cfg.CTime, R: cfg.CTime, L: cfg.CTime}
+	costs := markov.Costs{C: studyCTime, R: studyCTime, L: studyCTime}
 	simCfg := sim.Config{Costs: costs, CheckpointMB: PaperCheckpointMB}
 	// Uncensored strategy fits flow through one cache keyed
 	// (machine, strategy): every entry is distinct today, but the cache
@@ -190,13 +188,13 @@ func RunCensoring(cfg CensoringConfig) (*CensoringResult, error) {
 				if err != nil {
 					continue // strategy may be infeasible (e.g. drop leaves nothing)
 				}
-				eff, mb, err := replay(d, test, simCfg)
+				run, err := sim.RunFitted(d, model, test, simCfg)
 				if err != nil {
 					continue
 				}
 				k := key{strategy, model}
-				effs[k] = append(effs[k], eff)
-				mbs[k] = append(mbs[k], mb)
+				effs[k] = append(effs[k], run.Result.Efficiency())
+				mbs[k] = append(mbs[k], run.Result.MBTransferred)
 			}
 		}
 	}
@@ -251,31 +249,10 @@ func fitWithStrategy(fits *fit.Cache, machine string, s CensoringStrategy, m fit
 	return nil, fmt.Errorf("experiments: unknown strategy %v", s)
 }
 
-func replay(d dist.Distribution, test []float64, cfg sim.Config) (eff, mb float64, err error) {
-	m := markov.Model{Avail: d, Costs: cfg.Costs}
-	maxAvail := 0.0
-	for _, a := range test {
-		if a > maxAvail {
-			maxAvail = a
-		}
-	}
-	sched, err := m.BuildSchedule(cfg.Costs.R, markov.ScheduleOptions{
-		Horizon: maxAvail + cfg.Costs.R + cfg.Costs.C + 1,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := sim.Run(test, sched, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Efficiency(), res.MBTransferred, nil
-}
-
 // RenderCensoring renders the study as text.
 func RenderCensoring(r *CensoringResult) string {
 	out := fmt.Sprintf("Censoring sensitivity (extension of §5.3): %g-day window, %.0f%% of observations censored, C=R=%g s\n",
-		r.Config.ShortDays, 100*r.CensoredFraction, r.Config.CTime)
+		r.Config.ShortDays, 100*r.CensoredFraction, studyCTime)
 	out += fmt.Sprintf("%-18s", "strategy")
 	for _, m := range fit.Models {
 		out += fmt.Sprintf(" | %-18s", modelHeaders[m])

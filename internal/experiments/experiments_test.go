@@ -350,10 +350,6 @@ func TestRunLiveTablesAndValidation(t *testing.T) {
 	if !strings.Contains(vtxt, "Delta") {
 		t.Errorf("rendered validation:\n%s", vtxt)
 	}
-	stxt := RenderSamples(campusCamp.Samples)
-	if !strings.Contains(stxt, "machine") {
-		t.Errorf("rendered samples:\n%s", stxt)
-	}
 
 	// Errors.
 	if _, _, err := RunLiveTable("x", LiveCampaignConfig{}); err == nil {

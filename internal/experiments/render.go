@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/cycleharvest/ckptsched/internal/fit"
-	"github.com/cycleharvest/ckptsched/internal/live"
 	"github.com/cycleharvest/ckptsched/internal/obs"
 )
 
@@ -126,19 +125,6 @@ func FigureCSV(ctimes []float64, series []Series) string {
 			fmt.Fprintf(&b, ",%g", s.Mean[ci])
 		}
 		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// RenderSamples dumps per-sample live records (debugging aid and the
-// post-mortem log format the validation consumes).
-func RenderSamples(samples []live.Sample) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %-12s %-16s %10s %10s %10s %8s\n",
-		"#", "model", "machine", "session", "useful", "MB", "ckpts")
-	for i, s := range samples {
-		fmt.Fprintf(&b, "%-4d %-12s %-16s %10.0f %10.0f %10.0f %8d\n",
-			i, s.Model, s.Machine, s.SessionSec, s.CommittedWork, s.MBMoved, s.Checkpoints)
 	}
 	return b.String()
 }

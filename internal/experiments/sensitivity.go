@@ -20,8 +20,6 @@ type SensitivityConfig struct {
 	// paper's 0.43 / 3409 / 5000).
 	Shape, Scale float64
 	N            int
-	// CTime is the checkpoint/recovery cost. Default 500 s.
-	CTime float64
 	// Perturbations are the relative parameter errors to test.
 	// Default {0.10, 0.25, 0.50}.
 	Perturbations []float64
@@ -38,9 +36,6 @@ func (c *SensitivityConfig) setDefaults() {
 	}
 	if c.N <= 0 {
 		c.N = 5000
-	}
-	if c.CTime <= 0 {
-		c.CTime = 500
 	}
 	if len(c.Perturbations) == 0 {
 		c.Perturbations = []float64{0.10, 0.25, 0.50}
@@ -101,7 +96,7 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 	}
 	durations := tr.Durations()
 	train := durations[:trace.DefaultTrainingSize]
-	costs := markov.Costs{C: cfg.CTime, R: cfg.CTime, L: cfg.CTime}
+	costs := markov.Costs{C: studyCTime, R: studyCTime, L: studyCTime}
 	simCfg := sim.Config{Costs: costs, CheckpointMB: PaperCheckpointMB}
 
 	res := &SensitivityResult{Config: cfg}
@@ -118,10 +113,11 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseline, _, err := replay(fitted, durations, simCfg)
+		base, err := sim.RunFitted(fitted, model, durations, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sensitivity baseline %v: %w", model, err)
 		}
+		baseline := base.Result.Efficiency()
 		for _, p := range cfg.Perturbations {
 			cell := SensitivityCell{
 				Model: model, Perturbation: p,
@@ -136,11 +132,11 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 					if err != nil {
 						continue // perturbation left the family's domain
 					}
-					eff, _, err := replay(d, durations, simCfg)
-					if err != nil {
-						// Degenerate schedule: total failure to make
-						// progress counts as zero efficiency.
-						eff = 0
+					// Degenerate schedule: total failure to make progress
+					// counts as zero efficiency.
+					eff := 0.0
+					if run, err := sim.RunFitted(d, model, durations, simCfg); err == nil {
+						eff = run.Result.Efficiency()
 					}
 					if eff < cell.Worst {
 						cell.Worst = eff
@@ -158,7 +154,7 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 // RenderSensitivity renders the study as text.
 func RenderSensitivity(r *SensitivityResult) string {
 	out := fmt.Sprintf("Parameter sensitivity (§5.2 concern): Weibull(%g, %g) trace, C=R=%g s\n",
-		r.Config.Shape, r.Config.Scale, r.Config.CTime)
+		r.Config.Shape, r.Config.Scale, studyCTime)
 	out += fmt.Sprintf("%-14s %10s", "model", "baseline")
 	for _, p := range r.Config.Perturbations {
 		out += fmt.Sprintf("  worst@±%-3.0f%%", 100*p)

@@ -10,6 +10,9 @@ import (
 	"github.com/cycleharvest/ckptsched/internal/trace"
 )
 
+// table2CTimes are the two checkpoint costs of the paper's Table 2.
+var table2CTimes = []float64{50, 500}
+
 // Table2Config parameterizes the known-truth synthetic study.
 type Table2Config struct {
 	// Shape and Scale are the generating Weibull's parameters; zeros
@@ -17,9 +20,6 @@ type Table2Config struct {
 	Shape, Scale float64
 	// N is the synthetic trace length; zero means the paper's 5000.
 	N int
-	// CTimes are the checkpoint costs; empty means the paper's
-	// {50, 500}.
-	CTimes []float64
 	// Seed makes the trace deterministic.
 	Seed int64
 }
@@ -33,9 +33,6 @@ func (c *Table2Config) setDefaults() {
 	}
 	if c.N <= 0 {
 		c.N = 5000
-	}
-	if len(c.CTimes) == 0 {
-		c.CTimes = []float64{50, 500}
 	}
 }
 
@@ -100,7 +97,7 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 		}
 		return fits.Fit("first25", model, first25)
 	}
-	for _, ctime := range cfg.CTimes {
+	for _, ctime := range table2CTimes {
 		costs := markov.Costs{C: ctime, R: ctime, L: ctime}
 		simCfg := sim.Config{Costs: costs, CheckpointMB: PaperCheckpointMB}
 		for _, model := range fit.Models {
@@ -109,37 +106,15 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: table2 fit %v: %w", model, err)
 				}
-				eff, err := simulateWith(d, durations, simCfg)
+				run, err := sim.RunFitted(d, model, durations, simCfg)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: table2 sim %v C=%g: %w", model, ctime, err)
 				}
 				res.Cells = append(res.Cells, Table2Cell{
-					Model: model, CTime: ctime, FitOnAll: all, Efficiency: eff,
+					Model: model, CTime: ctime, FitOnAll: all, Efficiency: run.Result.Efficiency(),
 				})
 			}
 		}
 	}
 	return res, nil
-}
-
-// simulateWith replays the full trace under a schedule built from d.
-func simulateWith(d dist.Distribution, durations []float64, cfg sim.Config) (float64, error) {
-	m := markov.Model{Avail: d, Costs: cfg.Costs}
-	maxAvail := 0.0
-	for _, a := range durations {
-		if a > maxAvail {
-			maxAvail = a
-		}
-	}
-	sched, err := m.BuildSchedule(cfg.Costs.R, markov.ScheduleOptions{
-		Horizon: maxAvail + cfg.Costs.R + cfg.Costs.C + 1,
-	})
-	if err != nil {
-		return 0, err
-	}
-	res, err := sim.Run(durations, sched, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return res.Efficiency(), nil
 }

@@ -21,8 +21,7 @@ type CostModel struct {
 	FullBytes int64
 	// DirtyRate is the per-chunk dirtying rate in 1/seconds. A rate r
 	// means a fraction 1−exp(−r·T) of the image is dirty after T
-	// seconds of work. DirtyRateFromFraction converts a measured dirty
-	// fraction back to a rate.
+	// seconds of work.
 	DirtyRate float64
 	// LatencySec is the fixed per-checkpoint overhead (quiesce,
 	// handshake, manifest exchange) independent of payload size.
@@ -30,18 +29,6 @@ type CostModel struct {
 	// MinSec floors the curve; defaults to 1e-3 (matching the Markov
 	// optimizer's own floor) when zero.
 	MinSec float64
-}
-
-// DirtyRateFromFraction inverts the dirtying law: given that a
-// fraction f of chunks was dirty after interval T, the implied rate is
-// −ln(1−f)/T. It returns 0 for unusable inputs (f outside (0,1) or
-// non-positive T); f = 1 (everything dirty — no dedup signal) also
-// yields 0 so callers fall back to full-image costing.
-func DirtyRateFromFraction(f, T float64) float64 {
-	if !(f > 0 && f < 1) || !(T > 0) || math.IsInf(T, 0) {
-		return 0
-	}
-	return -math.Log1p(-f) / T
 }
 
 // Curve binds the model to a bandwidth forecast (bytes/second) and

@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestDirtyRateFromFraction(t *testing.T) {
-	// Round trip: rate → fraction → rate.
-	rate := 0.002
-	T := 300.0
-	f := -math.Expm1(-rate * T)
-	got := DirtyRateFromFraction(f, T)
-	if !almostEqual(got, rate, 1e-12) {
-		t.Errorf("round trip rate %v != %v", got, rate)
-	}
-	for _, tc := range []struct{ f, T float64 }{
-		{0, 100}, {-0.5, 100}, {1, 100}, {1.5, 100},
-		{0.5, 0}, {0.5, -1}, {0.5, math.Inf(1)},
-		{math.NaN(), 100}, {0.5, math.NaN()},
-	} {
-		if r := DirtyRateFromFraction(tc.f, tc.T); r != 0 {
-			t.Errorf("DirtyRateFromFraction(%g, %g) = %v, want 0", tc.f, tc.T, r)
-		}
-	}
-}
-
 func TestCostModelCurve(t *testing.T) {
 	m := CostModel{FullBytes: 100 << 20, DirtyRate: 0.001, LatencySec: 2}
 	bw := 10.0 * (1 << 20) // 10 MB/s

@@ -1,0 +1,66 @@
+package imagestore
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzApplyDelta throws arbitrary deltas and payloads at a store
+// holding a committed base — the manifest half arrives in a control
+// frame and the payload as a raw stream, so both are socket input.
+// ApplyDelta must never panic, and whenever it refuses a delta Lookup
+// must still return the base, byte for byte, at its generation.
+//
+// dirty is read as one chunk index per byte. With honest set, Sums are
+// computed from the payload the way a real client would, so the fuzzer
+// also reaches the commit path instead of stopping at verification.
+func FuzzApplyDelta(f *testing.F) {
+	const cs = 64
+	base := NewImage(4*cs+10, cs, 1).Bytes()
+
+	f.Add(1, cs, int64(len(base)), []byte{1}, base[cs:2*cs], true)
+	f.Add(1, cs, int64(len(base)), []byte{}, []byte{}, true)             // identical image
+	f.Add(1, cs, int64(6*cs), []byte{4, 5}, make([]byte, 2*cs), true)    // grow
+	f.Add(1, cs, int64(cs), []byte{}, []byte{}, true)                    // shrink
+	f.Add(7, cs, int64(len(base)), []byte{0}, base[:cs], true)           // stale base
+	f.Add(1, 2*cs, int64(len(base)), []byte{0}, base[:2*cs], true)       // wrong geometry
+	f.Add(1, cs, int64(len(base)), []byte{2, 1}, base[cs:3*cs], true)    // unordered
+	f.Add(1, cs, int64(2*cs), []byte{0, 3}, []byte{}, false)             // spans cancel to an empty payload
+	f.Add(1, cs, int64(1)<<50, []byte{}, []byte{}, false)                // absurd size, nothing to back it
+	f.Add(1, cs, int64(-1), []byte{0}, base[:cs], false)                 // negative size
+	f.Add(1, cs, int64(len(base)), []byte{4}, base[4*cs:], false)        // bad sums on the short chunk
+	f.Add(1, cs, int64(len(base)), []byte{0, 1, 2, 3, 4, 5}, base, true) // index past the end
+
+	f.Fuzz(func(t *testing.T, baseGen, chunkSize int, size int64, dirty, payload []byte, honest bool) {
+		s := NewStore()
+		gen, _, crc := s.CommitFull("job", base, cs)
+
+		d := Delta{BaseGen: baseGen, ChunkSize: chunkSize, Size: size}
+		off := int64(0)
+		for _, b := range dirty {
+			i := int(b)
+			d.Dirty = append(d.Dirty, i)
+			var sum ChunkSum
+			if lo, hi := chunkSpan(i, chunkSize, size); honest && hi > lo && off+hi-lo <= int64(len(payload)) {
+				sum = sumChunk(payload[off : off+hi-lo])
+				off += hi - lo
+			}
+			d.Sums = append(d.Sums, sum)
+		}
+
+		newGen, newCRC, err := s.ApplyDelta("job", d, payload)
+		data, _, curGen, curCRC, ok := s.Lookup("job")
+		if !ok {
+			t.Fatal("committed job vanished")
+		}
+		if err != nil {
+			if curGen != gen || curCRC != crc || !bytes.Equal(data, base) {
+				t.Fatalf("refused delta (%v) disturbed the base: gen %d→%d", err, gen, curGen)
+			}
+			return
+		}
+		if newGen != gen+1 || curGen != newGen || curCRC != newCRC || int64(len(data)) != size {
+			t.Fatalf("commit bookkeeping: gen %d→%d (lookup %d), %d bytes for size %d", gen, newGen, curGen, len(data), size)
+		}
+	})
+}

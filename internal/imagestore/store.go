@@ -134,7 +134,23 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 	if d.Size < 0 || len(d.Dirty) != len(d.Sums) {
 		return 0, 0, fmt.Errorf("%w: %d dirty indices, %d sums", ErrBadDelta, len(d.Dirty), len(d.Sums))
 	}
+	// Bytes past the end of the base lie in chunks the base does not
+	// cover, which must be dirty, so they all travel in the payload:
+	// an announced size beyond that is refused before it is allocated.
+	if d.Size > base.man.Size+int64(len(payload)) {
+		return 0, 0, fmt.Errorf("%w: size %d from a %d-byte base and %d payload bytes", ErrBadDelta, d.Size, base.man.Size, len(payload))
+	}
+	// The dirty set is checked whole before its spans are summed: an
+	// out-of-range index has a negative span that could otherwise
+	// cancel a real one and slip a short payload past the length check.
 	n := NumChunks(d.Size, d.ChunkSize)
+	prev := -1
+	for _, i := range d.Dirty {
+		if i <= prev || i >= n {
+			return 0, 0, fmt.Errorf("%w: dirty index %d out of order or range (chunks %d)", ErrBadDelta, i, n)
+		}
+		prev = i
+	}
 	if got := d.PayloadBytes(); got != int64(len(payload)) {
 		return 0, 0, fmt.Errorf("%w: payload %d bytes, dirty spans announce %d", ErrBadDelta, len(payload), got)
 	}
@@ -144,12 +160,7 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 	copy(data, base.data)
 	dirty := make(map[int]bool, len(d.Dirty))
 	off := int64(0)
-	prev := -1
 	for k, i := range d.Dirty {
-		if i <= prev || i >= n {
-			return 0, 0, fmt.Errorf("%w: dirty index %d out of order or range (chunks %d)", ErrBadDelta, i, n)
-		}
-		prev = i
 		lo, hi := chunkSpan(i, d.ChunkSize, d.Size)
 		chunk := payload[off : off+hi-lo]
 		off += hi - lo

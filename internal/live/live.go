@@ -101,17 +101,16 @@ type CampaignConfig struct {
 	// TracePidBase offsets this campaign's trace lanes so several
 	// campaigns can share one tracer without colliding pids.
 	TracePidBase uint64
-	// Wire, when set, receives every byte that crosses the link, binned
-	// by virtual campaign time (allocation start + session time) — the
-	// network-overhead-vs-time series the paper plots. ByteSeries bins
-	// are commuting integer atomics, so the series is deterministic
-	// even when sessions replay in parallel.
-	Wire *obs.ByteSeries
-	// WireBins, when positive and Wire is nil, has RunCampaign size the
-	// series itself: the allocation pre-pass fixes the campaign's
-	// virtual span before any session runs, so the bin width is
-	// span/WireBins. The filled series comes back on Campaign.Wire.
+	// WireBins, when positive, has RunCampaign record every byte that
+	// crosses the link, binned by virtual campaign time (allocation
+	// start + session time) — the network-overhead-vs-time series the
+	// paper plots. The allocation pre-pass fixes the campaign's virtual
+	// span before any session runs, so the bin width is span/WireBins.
+	// ByteSeries bins are commuting integer atomics, so the series is
+	// deterministic even when sessions replay in parallel. The filled
+	// series comes back on Campaign.Wire.
 	WireBins int
+	wire     *obs.ByteSeries // built by RunCampaign from WireBins
 	// Delta configures content-addressed delta checkpointing (the
 	// ckptnet image store, DESIGN.md §16): after the first full image
 	// lands at the manager, each checkpoint ships only the chunks the
@@ -233,7 +232,7 @@ type Campaign struct {
 	// LinkName echoes the link profile.
 	LinkName string
 	// Wire is the bytes-on-wire time series (nil unless the config set
-	// Wire or WireBins).
+	// WireBins).
 	Wire *obs.ByteSeries
 }
 
@@ -349,7 +348,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Wire == nil && cfg.WireBins > 0 {
+	if cfg.WireBins > 0 {
 		span := 0.0
 		for _, al := range allocs {
 			if al.evictAt > span {
@@ -357,7 +356,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 			}
 		}
 		if span > 0 {
-			cfg.Wire = obs.NewByteSeries(span/float64(cfg.WireBins), cfg.WireBins)
+			cfg.wire = obs.NewByteSeries(span/float64(cfg.WireBins), cfg.WireBins)
 		}
 	}
 
@@ -379,7 +378,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 			}
 			samples[idx] = s
 		}
-		return &Campaign{LinkName: cfg.Link.Name(), Samples: samples, Wire: cfg.Wire}, nil
+		return &Campaign{LinkName: cfg.Link.Name(), Samples: samples, Wire: cfg.wire}, nil
 	}
 
 	// Sessions are independent: fan out over a bounded worker pool.
@@ -409,7 +408,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 			return nil, err
 		}
 	}
-	return &Campaign{LinkName: cfg.Link.Name(), Samples: samples, Wire: cfg.Wire}, nil
+	return &Campaign{LinkName: cfg.Link.Name(), Samples: samples, Wire: cfg.wire}, nil
 }
 
 // allocation is one sample's placement, learned by the pre-pass: which
@@ -676,7 +675,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 			pending = clock.Schedule(a.Sec, func() {
 				s.TransferSec += a.Sec
 				s.MBMoved += mb
-				cfg.Wire.Add(abs(clock.Now()), xfer)
+				cfg.wire.Add(abs(clock.Now()), xfer)
 				tr.SpanAt(pid, 1, transferName(kind), abs(t0), a.Sec,
 					obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", mb))
 				if isDelta {
@@ -694,7 +693,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 			s.TransferSec += a.Sec
 			if a.FullSec > 0 {
 				s.MBMoved += mb * a.Sec / a.FullSec
-				cfg.Wire.Add(abs(clock.Now()), int64(float64(xfer)*a.Sec/a.FullSec+0.5))
+				cfg.wire.Add(abs(clock.Now()), int64(float64(xfer)*a.Sec/a.FullSec+0.5))
 			}
 			tr.SpanAt(pid, 1, transferName(kind), abs(t0), a.Sec,
 				obs.AttrStr("outcome", "torn"), obs.AttrInt("attempt", int64(attempt)))
@@ -828,7 +827,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 				// Prorate what was in flight: for a delta that is its
 				// dirty chunks, not the whole image.
 				s.MBMoved += phaseMB * elapsed / phaseDur
-				cfg.Wire.Add(abs(at), int64(phaseMB*ckptnet.MB*elapsed/phaseDur+0.5))
+				cfg.wire.Add(abs(at), int64(phaseMB*ckptnet.MB*elapsed/phaseDur+0.5))
 			}
 			if ph == phaseCheckpointing {
 				s.LostWork += pendingWork

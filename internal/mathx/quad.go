@@ -39,31 +39,3 @@ func adaptiveAux(f func(float64) float64, a, b, fa, fm, fb, whole, tol float64, 
 	return adaptiveAux(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
 		adaptiveAux(f, m, b, fm, frm, fb, right, tol/2, depth-1)
 }
-
-// GaussLegendre20 integrates f over [a, b] with a fixed 20-point
-// Gauss-Legendre rule. It is fast and accurate for smooth integrands
-// and is used where the adaptive rule would be too slow in inner loops.
-func GaussLegendre20(f func(float64) float64, a, b float64) float64 {
-	// Abscissae and weights for n=20 on [-1, 1] (positive half; the
-	// rule is symmetric).
-	var x = [10]float64{
-		0.0765265211334973, 0.2277858511416451, 0.3737060887154196,
-		0.5108670019508271, 0.6360536807265150, 0.7463319064601508,
-		0.8391169718222188, 0.9122344282513259, 0.9639719272779138,
-		0.9931285991850949,
-	}
-	var w = [10]float64{
-		0.1527533871307258, 0.1491729864726037, 0.1420961093183821,
-		0.1316886384491766, 0.1181945319615184, 0.1019301198172404,
-		0.0832767415767048, 0.0626720483341091, 0.0406014298003869,
-		0.0176140071391521,
-	}
-	c := 0.5 * (b - a)
-	d := 0.5 * (b + a)
-	sum := 0.0
-	for i := range x {
-		dx := c * x[i]
-		sum += w[i] * (f(d+dx) + f(d-dx))
-	}
-	return c * sum
-}

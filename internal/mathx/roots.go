@@ -34,63 +34,6 @@ func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 	return 0.5 * (a + b), nil
 }
 
-// NewtonBisect finds a root of f in [a, b] using Newton's method with
-// bisection safeguards (Numerical Recipes "rtsafe"). df is the
-// derivative of f. f(a) and f(b) must bracket a root.
-func NewtonBisect(f, df func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("mathx: NewtonBisect: no sign change on [%g, %g]", a, b)
-	}
-	// Orient so that f(lo) < 0.
-	lo, hi := a, b
-	if fa > 0 {
-		lo, hi = b, a
-	}
-	x := 0.5 * (a + b)
-	dxold := math.Abs(b - a)
-	dx := dxold
-	fx, dfx := f(x), df(x)
-	for range 200 {
-		// Bisect if Newton would jump outside the bracket or converge
-		// too slowly.
-		newtonOut := ((x-hi)*dfx-fx)*((x-lo)*dfx-fx) > 0
-		slow := math.Abs(2*fx) > math.Abs(dxold*dfx)
-		if newtonOut || slow || dfx == 0 {
-			dxold = dx
-			dx = 0.5 * (hi - lo)
-			x = lo + dx
-			if lo == x {
-				return x, nil
-			}
-		} else {
-			dxold = dx
-			dx = fx / dfx
-			t := x
-			x -= dx
-			if t == x {
-				return x, nil
-			}
-		}
-		if math.Abs(dx) < tol {
-			return x, nil
-		}
-		fx, dfx = f(x), df(x)
-		if fx < 0 {
-			lo = x
-		} else {
-			hi = x
-		}
-	}
-	return x, nil
-}
-
 // ExpandBracket grows [a, b] geometrically until f changes sign across
 // it, returning the bracketing interval. It expands the upper end only
 // (the lower end stays fixed), which matches its use on positive

@@ -34,32 +34,6 @@ func TestBisectNoSignChange(t *testing.T) {
 	}
 }
 
-func TestNewtonBisectCubic(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 8 }
-	df := func(x float64) float64 { return 3 * x * x }
-	x, err := NewtonBisect(f, df, 0, 10, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x, 2, 1e-10) {
-		t.Errorf("NewtonBisect cbrt(8) = %.12g", x)
-	}
-}
-
-func TestNewtonBisectFlatDerivativeFallsBackToBisection(t *testing.T) {
-	// f has a root at 0.5 but the supplied derivative is wrong (zero),
-	// forcing the bisection safeguard on every step.
-	f := func(x float64) float64 { return x - 0.5 }
-	df := func(float64) float64 { return 0 }
-	x, err := NewtonBisect(f, df, 0, 1, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x, 0.5, 1e-8) {
-		t.Errorf("NewtonBisect with broken derivative = %g, want 0.5", x)
-	}
-}
-
 func TestExpandBracket(t *testing.T) {
 	f := func(x float64) float64 { return x - 100 }
 	a, b, err := ExpandBracket(f, 1e-3, 1, 30)
@@ -143,16 +117,5 @@ func TestSimpsonAdaptiveReversedAndEmpty(t *testing.T) {
 	rev := SimpsonAdaptive(math.Exp, 1, 0, 1e-12)
 	if !almostEqual(fwd, -rev, 1e-12) {
 		t.Errorf("reversed interval: %g vs %g", fwd, rev)
-	}
-}
-
-func TestGaussLegendre20(t *testing.T) {
-	got := GaussLegendre20(func(x float64) float64 { return math.Sin(x) }, 0, math.Pi)
-	if !almostEqual(got, 2, 1e-12) {
-		t.Errorf("∫sin over [0,π] = %.14g, want 2", got)
-	}
-	got = GaussLegendre20(func(x float64) float64 { return x * x }, -1, 3)
-	if !almostEqual(got, 28.0/3, 1e-12) {
-		t.Errorf("∫x² over [-1,3] = %.14g, want %g", got, 28.0/3)
 	}
 }

@@ -108,12 +108,6 @@ func gammaQContinuedFraction(a, x float64) float64 {
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
-// LowerIncompleteGamma computes the unregularized lower incomplete
-// gamma function γ(a, x) = ∫₀ˣ t^(a-1) e^(-t) dt.
-func LowerIncompleteGamma(a, x float64) float64 {
-	return GammaP(a, x) * math.Gamma(a)
-}
-
 // BetaInc computes the regularized incomplete beta function
 // I_x(a, b) for a, b > 0 and 0 <= x <= 1.
 //

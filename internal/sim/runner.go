@@ -60,30 +60,3 @@ func RunFitted(d dist.Distribution, model fit.Model, test []float64, cfg Config)
 	}
 	return MachineRun{Model: model, Result: res, Schedule: sched}, nil
 }
-
-// ExpectedEfficiency returns the analytic steady-state efficiency the
-// Markov model predicts for this machine/model/cost combination: the
-// reciprocal of the overhead ratio Γ/T at T_opt for a fresh resource
-// (§5.1: "the expected efficiency is just the reciprocal of the
-// quantity Γ … evaluated at T_opt").
-func ExpectedEfficiency(train []float64, model fit.Model, costs markov.Costs) (float64, error) {
-	d, err := fit.Fit(model, train)
-	if err != nil {
-		return 0, err
-	}
-	m := markov.Model{Avail: d, Costs: costs}
-	_, ratio, err := m.Topt(costs.R, markov.OptimizeOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return 1 / ratio, nil
-}
-
-// Aggregate sums per-machine results into a pool-wide Result.
-func Aggregate(runs []MachineRun) Result {
-	var total Result
-	for _, r := range runs {
-		total.add(r.Result)
-	}
-	return total
-}

@@ -121,21 +121,6 @@ func (r Result) MBPerHour() float64 {
 	return r.MBTransferred / (r.TotalTime / 3600)
 }
 
-// add merges o into r.
-func (r *Result) add(o Result) {
-	r.TotalTime += o.TotalTime
-	r.UsefulWork += o.UsefulWork
-	r.LostWork += o.LostWork
-	r.RecoveryTime += o.RecoveryTime
-	r.CheckpointTime += o.CheckpointTime
-	r.MBTransferred += o.MBTransferred
-	r.Commits += o.Commits
-	r.Recoveries += o.Recoveries
-	r.FailedRecoveries += o.FailedRecoveries
-	r.FailedCheckpoints += o.FailedCheckpoints
-	r.FailedIntervals += o.FailedIntervals
-}
-
 // ErrNoAvailabilities is returned when Run is given an empty trace.
 var ErrNoAvailabilities = errors.New("sim: no availability durations")
 

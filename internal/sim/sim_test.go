@@ -267,30 +267,23 @@ func TestExpectedEfficiencyAgainstSimulation(t *testing.T) {
 	}
 	train, test := all[:200], all[200:]
 	c := cfg(100)
-	want, err := ExpectedEfficiency(train, fit.ModelExponential, c.Costs)
+	// §5.1: "the expected efficiency is just the reciprocal of the
+	// quantity Γ … evaluated at T_opt", here for a fresh resource.
+	d, err := fit.Fit(fit.ModelExponential, train)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, ratio, err := markov.Model{Avail: d, Costs: c.Costs}.Topt(c.Costs.R, markov.OptimizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1 / ratio
 	run, err := RunModel(train, test, fit.ModelExponential, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(want, run.Result.Efficiency(), 0.1) {
 		t.Errorf("analytic %g vs simulated %g", want, run.Result.Efficiency())
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	runs := []MachineRun{
-		{Result: Result{TotalTime: 10, UsefulWork: 5, MBTransferred: 100, Commits: 1}},
-		{Result: Result{TotalTime: 30, UsefulWork: 15, MBTransferred: 300, Commits: 2}},
-	}
-	total := Aggregate(runs)
-	if total.TotalTime != 40 || total.UsefulWork != 20 || total.MBTransferred != 400 || total.Commits != 3 {
-		t.Errorf("aggregate = %+v", total)
-	}
-	if total.Efficiency() != 0.5 {
-		t.Errorf("aggregate efficiency = %g", total.Efficiency())
 	}
 }
 
