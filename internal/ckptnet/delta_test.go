@@ -227,11 +227,25 @@ func TestDeltaChaosTornPayload(t *testing.T) {
 		t.Fatalf("store generation = %d, want >= 3", gen)
 	}
 	var torn int
+	var committed int64 // payload bytes of the checkpoints the manager acked
 	for _, s := range mgr.Sessions() {
 		torn += s.Summarize().TornFrames
+		s.mu.Lock()
+		for _, e := range s.Events {
+			if e.Kind == EvCheckpointDone || e.Kind == EvDeltaCheckpointDone {
+				committed += int64(e.Value)
+			}
+		}
+		s.mu.Unlock()
 	}
 	if torn == 0 {
 		t.Fatal("manager never recorded the torn transfer")
+	}
+	// The rejected delta crossed the wire as surely as its full-image
+	// resend did: WireBytes counts both.
+	if rep.CkptRetries > 0 && rep.WireBytes <= committed {
+		t.Fatalf("WireBytes = %d with %d Nack'd sends, want more than the %d bytes committed",
+			rep.WireBytes, rep.CkptRetries, committed)
 	}
 }
 

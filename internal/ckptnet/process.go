@@ -147,7 +147,8 @@ type ProcessReport struct {
 	// Fallbacks counts intervals scheduled without a fresh T_opt.
 	Fallbacks int
 	// WireBytes accumulates the checkpoint payload bytes actually sent
-	// in content modes (full + delta); 0 for a legacy process.
+	// in content modes (full + delta), rejected attempts included; 0
+	// for a legacy process.
 	WireBytes int64
 	// DeltaCheckpoints counts checkpoints committed as deltas.
 	DeltaCheckpoints int
@@ -402,6 +403,10 @@ func runSession(ctx context.Context, cfg ProcessConfig, rep *ProcessReport, st *
 			if err := send(rw, begin, wire); err != nil {
 				return err
 			}
+			if cfg.Delta != nil {
+				// Sent is sent: a Nack'd payload crossed the wire too.
+				rep.WireBytes += begin.Bytes
+			}
 			// The ack arrives only after the manager drained the whole
 			// stream; allow a deadline proportional to the last
 			// transfer's wall duration.
@@ -429,7 +434,6 @@ func runSession(ctx context.Context, cfg ProcessConfig, rep *ProcessReport, st *
 				return ErrUnexpectedFrame
 			}
 			if cfg.Delta != nil {
-				rep.WireBytes += begin.Bytes
 				if begin.Mode == ModeDelta {
 					rep.DeltaCheckpoints++
 				}

@@ -49,7 +49,7 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 
 		newGen, newCRC, err := s.ApplyDelta("job", d, payload)
-		data, _, curGen, curCRC, ok := s.Lookup("job")
+		data, man, curGen, curCRC, ok := s.Lookup("job")
 		if !ok {
 			t.Fatal("committed job vanished")
 		}
@@ -61,6 +61,26 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		if newGen != gen+1 || curGen != newGen || curCRC != newCRC || int64(len(data)) != size {
 			t.Fatalf("commit bookkeeping: gen %d→%d (lookup %d), %d bytes for size %d", gen, newGen, curGen, len(data), size)
+		}
+		// The store patches its manifest; it must be the one a hashing
+		// pass over the committed bytes would build.
+		if !sameManifest(man, BuildManifest(data, cs)) {
+			t.Fatalf("committed manifest drifted from the %d committed bytes", len(data))
+		}
+	})
+}
+
+// FuzzSumChunk holds the eight-bytes-a-step hash to the byte loop it
+// replaced: sums travel in delta frames and sit in stored manifests,
+// so the value is a wire contract.
+func FuzzSumChunk(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("1234567"))
+	f.Add([]byte("12345678"))
+	f.Add(bytes.Repeat([]byte{0xFF}, 67))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := sumChunk(b), sumChunkRef(b); got != want {
+			t.Fatalf("%d bytes: sumChunk = %+v, byte loop = %+v", len(b), got, want)
 		}
 	})
 }

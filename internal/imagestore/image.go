@@ -17,6 +17,7 @@ type Image struct {
 	data      []byte
 	baseMan   Manifest // manifest of the last committed generation
 	baseGen   int      // 0 = nothing committed yet
+	encMan    Manifest // manifest of data as EncodeDelta last saw it; ChunkSize 0 = none
 	rng       *rand.Rand
 }
 
@@ -44,7 +45,9 @@ func (im *Image) fill(b []byte) {
 }
 
 // Bytes returns the image content. The slice aliases the image buffer;
-// callers must not hold it across a Mutate or Adopt.
+// callers must not hold it across a Mutate or Adopt. A write through
+// it between EncodeDelta and CommitBase is not part of the committed
+// base (the manager never received it); the next delta ships it.
 func (im *Image) Bytes() []byte { return im.data }
 
 // Size returns the image length in bytes.
@@ -73,6 +76,7 @@ func (im *Image) MutateFraction(frac float64) {
 	if n == 0 || frac <= 0 {
 		return
 	}
+	im.encMan = Manifest{}
 	if frac > 1 {
 		frac = 1
 	}
@@ -100,9 +104,11 @@ func DirtyFraction(rate, workSec float64) float64 {
 // EncodeDelta diffs the current content against the committed base and
 // returns the delta manifest plus its raw payload. It must not be
 // called without a base (HasBase); the caller sends a full transfer
-// instead in that case.
+// instead in that case. The image keeps the manifest it builds here —
+// the one whole-image hashing pass of a checkpoint — for CommitBase.
 func (im *Image) EncodeDelta() (Delta, []byte) {
 	cur := BuildManifest(im.data, im.chunkSize)
+	im.encMan = cur
 	dirty := Diff(im.baseMan, cur)
 	d := Delta{
 		BaseGen:   im.baseGen,
@@ -118,16 +124,22 @@ func (im *Image) EncodeDelta() (Delta, []byte) {
 }
 
 // CommitBase records that the server committed the current content as
-// generation gen; subsequent deltas are diffed against it.
+// generation gen; subsequent deltas are diffed against it. The base is
+// the content as EncodeDelta last hashed it — what the server holds —
+// and is hashed here only when the content was never encoded (a full
+// transfer with no delta attempt before it).
 func (im *Image) CommitBase(gen int) {
-	im.baseMan = BuildManifest(im.data, im.chunkSize)
+	if im.encMan.ChunkSize == 0 {
+		im.encMan = BuildManifest(im.data, im.chunkSize)
+	}
+	im.baseMan, im.encMan = im.encMan, Manifest{}
 	im.baseGen = gen
 }
 
 // ResetBase forgets the committed base (e.g. after the server lost the
 // image), forcing the next transfer to go full.
 func (im *Image) ResetBase() {
-	im.baseMan = Manifest{}
+	im.baseMan, im.encMan = Manifest{}, Manifest{}
 	im.baseGen = 0
 }
 
@@ -137,6 +149,6 @@ func (im *Image) ResetBase() {
 func (im *Image) Adopt(data []byte, gen int) {
 	im.data = make([]byte, len(data))
 	copy(im.data, data)
-	im.baseMan = BuildManifest(im.data, im.chunkSize)
+	im.baseMan, im.encMan = BuildManifest(im.data, im.chunkSize), Manifest{}
 	im.baseGen = gen
 }

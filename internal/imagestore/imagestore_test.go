@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/cycleharvest/ckptsched/internal/obs"
 )
 
 func TestBuildManifestEmptyImage(t *testing.T) {
@@ -335,5 +339,183 @@ func TestDirtyFractionCurve(t *testing.T) {
 	}
 	if f := DirtyFraction(10, 1e6); f > 1 {
 		t.Fatalf("fraction above 1: %v", f)
+	}
+}
+
+// sumChunkRef is the hash as first written and as the wire fixes it:
+// one byte per step. sumChunk must return its value on every input.
+func sumChunkRef(b []byte) ChunkSum {
+	var h uint64
+	for _, c := range b {
+		h = h*rollBase + uint64(c)
+	}
+	return ChunkSum{Roll: h, CRC: crc32.ChecksumIEEE(b)}
+}
+
+func TestSumChunkMatchesByteLoop(t *testing.T) {
+	buf := NewImage(65536, 0, 21).Bytes()
+	lengths := []int{4095, 4096, 4097, 65536}
+	for n := 0; n <= 65; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		// Slide the start so the eight-byte steps meet every alignment.
+		for off := 0; off < 8 && off+n <= len(buf); off++ {
+			if got, want := sumChunk(buf[off:off+n]), sumChunkRef(buf[off:off+n]); got != want {
+				t.Fatalf("length %d at offset %d: sumChunk = %+v, byte loop = %+v", n, off, got, want)
+			}
+		}
+	}
+}
+
+// sameManifest reports whether two manifests address the same image.
+func sameManifest(a, b Manifest) bool {
+	return a.ChunkSize == b.ChunkSize && a.Size == b.Size && slices.Equal(a.Sums, b.Sums)
+}
+
+// TestManifestsNeverDrift drives a client image and a store through
+// random checkpoint histories — clean deltas, Nack'd deltas resent
+// full, encodes abandoned mid-transfer, recoveries, lost bases, grown
+// and shrunk images — and after every step holds both manifests that
+// are no longer hashed from the bytes against ones that are.
+func TestManifestsNeverDrift(t *testing.T) {
+	const cs = 64
+	const job = "job"
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		im := NewImage(int64(3*cs+rng.Intn(4*cs)), cs, seed)
+		full := func() {
+			gen, _, _ := s.CommitFull(job, im.Bytes(), cs)
+			im.CommitBase(gen)
+		}
+		full()
+		for step := 0; step < 200; step++ {
+			op := rng.Intn(8)
+			switch {
+			case op == 0:
+				im.MutateFraction([]float64{0, 0.1, 0.5, 1}[rng.Intn(4)])
+			case op == 1 && im.HasBase(): // clean delta
+				d, payload := im.EncodeDelta()
+				gen, _, err := s.ApplyDelta(job, d, payload)
+				if err != nil {
+					t.Fatalf("seed %d step %d: honest delta refused: %v", seed, step, err)
+				}
+				im.CommitBase(gen)
+			case op == 2 && im.HasBase(): // delta torn in flight, Nack, full resend
+				d, payload := im.EncodeDelta()
+				if len(payload) == 0 {
+					continue
+				}
+				payload[rng.Intn(len(payload))] ^= 0x55
+				if _, _, err := s.ApplyDelta(job, d, payload); !errors.Is(err, ErrBadDelta) {
+					t.Fatalf("seed %d step %d: torn delta: err=%v, want ErrBadDelta", seed, step, err)
+				}
+				full()
+			case op == 3 && im.HasBase(): // encoded, then the connection died
+				im.EncodeDelta()
+			case op == 4: // recovery: adopt what the store holds
+				data, _, gen, _, _ := s.Lookup(job)
+				im.Adopt(data, gen)
+			case op == 5: // base lost: the next checkpoint goes full
+				im.ResetBase()
+			case op == 6: // the image grows or shrinks under the store's feet
+				resized := append([]byte(nil), im.Bytes()[:rng.Intn(len(im.Bytes())+1)]...)
+				resized = append(resized, NewImage(int64(rng.Intn(3*cs)), cs, rng.Int63()).Bytes()...)
+				_, man, gen, _, _ := s.Lookup(job)
+				cur := BuildManifest(resized, cs)
+				d := Delta{BaseGen: gen, ChunkSize: cs, Size: cur.Size, Dirty: Diff(man, cur)}
+				for _, i := range d.Dirty {
+					d.Sums = append(d.Sums, cur.Sums[i])
+				}
+				gen, _, err := s.ApplyDelta(job, d, DeltaPayload(resized, cs, d.Dirty))
+				if err != nil {
+					t.Fatalf("seed %d step %d: resize %d→%d refused: %v", seed, step, man.Size, cur.Size, err)
+				}
+				im.Adopt(resized, gen)
+			default: // op 7, or no base to delta against: a full image
+				full()
+			}
+
+			data, man, gen, crc, _ := s.Lookup(job)
+			if !sameManifest(man, BuildManifest(data, cs)) || crc != crc32.ChecksumIEEE(data) {
+				t.Fatalf("seed %d step %d (op %d): store manifest drifted from its %d bytes", seed, step, op, len(data))
+			}
+			// Between a commit and the next mutation the client's base
+			// describes the client's bytes; whenever its generation is
+			// the store's, it describes the store's too.
+			if im.HasBase() && op != 0 && op != 3 && !sameManifest(im.baseMan, BuildManifest(im.Bytes(), cs)) {
+				t.Fatalf("seed %d step %d (op %d): client base manifest drifted from its bytes", seed, step, op)
+			}
+			if im.BaseGen() == gen && !sameManifest(im.baseMan, man) {
+				t.Fatalf("seed %d step %d (op %d): client and store disagree on generation %d", seed, step, op, gen)
+			}
+		}
+	}
+}
+
+// TestOneHashingPassPerCheckpoint counts BuildManifest's chunks over
+// one delta checkpoint — encode, apply, commit the base — and over
+// one full one: the image is hashed once by the client (EncodeDelta,
+// or CommitBase when nothing was encoded), the store hashes a full
+// image once and of a delta only the dirty chunks it verifies.
+func TestOneHashingPassPerCheckpoint(t *testing.T) {
+	reg := obs.NewRegistry()
+	Instrument(reg)
+	defer Instrument(nil)
+	const cs = 1024
+	s := NewStore()
+	im := NewImage(32*cs+100, cs, 16)
+	n := uint64(NumChunks(im.Size(), cs))
+
+	gen, _, _ := s.CommitFull("job", im.Bytes(), cs)
+	im.CommitBase(gen)
+	if got := Metrics.ChunksHashed.Value(); got != 2*n {
+		t.Fatalf("full checkpoint hashed %d chunks, want %d (store once, client once)", got, 2*n)
+	}
+
+	im.MutateFraction(0.25)
+	before := Metrics.ChunksHashed.Value()
+	d, payload := im.EncodeDelta()
+	gen, _, err := s.ApplyDelta("job", d, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im.CommitBase(gen)
+	if got := Metrics.ChunksHashed.Value() - before; got != n {
+		t.Fatalf("delta checkpoint hashed %d chunks in BuildManifest, want %d (one pass)", got, n)
+	}
+}
+
+// TestWriteThroughBytesAfterEncodeShipsNextDelta pins the Bytes
+// contract: the committed base is the content EncodeDelta hashed, so a
+// write through the alias between encode and commit — bytes the
+// manager never received — is dirty in the next delta instead of being
+// recorded as committed.
+func TestWriteThroughBytesAfterEncodeShipsNextDelta(t *testing.T) {
+	const cs = 512
+	s := NewStore()
+	im := NewImage(8*cs, cs, 17)
+	gen, _, _ := s.CommitFull("job", im.Bytes(), cs)
+	im.CommitBase(gen)
+
+	im.Bytes()[0] ^= 0xFF // dirties chunk 0
+	d, payload := im.EncodeDelta()
+	im.Bytes()[5*cs] ^= 0xFF // after the encode: chunk 5 is not in d
+	gen, _, err := s.ApplyDelta("job", d, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im.CommitBase(gen)
+
+	d, payload = im.EncodeDelta()
+	if len(d.Dirty) != 1 || d.Dirty[0] != 5 {
+		t.Fatalf("next delta: dirty=%v, want [5], the chunk written after the encode", d.Dirty)
+	}
+	if _, _, err := s.ApplyDelta("job", d, payload); err != nil {
+		t.Fatal(err)
+	}
+	if data, _, _, _, _ := s.Lookup("job"); !bytes.Equal(data, im.Bytes()) {
+		t.Fatal("store and client differ after the late write was shipped")
 	}
 }

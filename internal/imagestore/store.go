@@ -155,10 +155,13 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 		return 0, 0, fmt.Errorf("%w: payload %d bytes, dirty spans announce %d", ErrBadDelta, len(payload), got)
 	}
 
-	// Build the new image: start from the base, resize, patch.
+	// Build the new image and its manifest: start from the base's,
+	// resize, patch. A dirty chunk's sum is verified against its bytes
+	// below; a retained chunk keeps bytes and sum alike.
 	data := make([]byte, d.Size)
 	copy(data, base.data)
-	dirty := make(map[int]bool, len(d.Dirty))
+	man := Manifest{ChunkSize: d.ChunkSize, Size: d.Size, Sums: make([]ChunkSum, n)}
+	copy(man.Sums, base.man.Sums)
 	off := int64(0)
 	for k, i := range d.Dirty {
 		lo, hi := chunkSpan(i, d.ChunkSize, d.Size)
@@ -169,13 +172,14 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 			return 0, 0, fmt.Errorf("%w: chunk %d failed content-address verification", ErrBadDelta, i)
 		}
 		copy(data[lo:hi], chunk)
-		dirty[i] = true
+		man.Sums[i] = d.Sums[k]
 	}
 	// Every retained chunk must mean the same bytes it meant in the
 	// base: fully covered there, with an identical span (the base's
 	// final short chunk cannot be silently reinterpreted by a resize).
-	for i := 0; i < n; i++ {
-		if dirty[i] {
+	for i, k := 0, 0; i < n; i++ {
+		if k < len(d.Dirty) && d.Dirty[k] == i { // Dirty ascends: a cursor finds it
+			k++
 			continue
 		}
 		lo, hi := chunkSpan(i, d.ChunkSize, d.Size)
@@ -186,7 +190,6 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 		}
 	}
 
-	man := BuildManifest(data, d.ChunkSize)
 	crc = crc32.ChecksumIEEE(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
