@@ -98,12 +98,13 @@ func (c Conditional) PartialMoment(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	s := c.Base.Survival(c.Age)
+	s, cdfAge, pmAge := Point(c.Base, c.Age)
 	if s <= 0 {
 		return 0
 	}
-	dF := c.Base.CDF(c.Age+x) - c.Base.CDF(c.Age)
-	return (c.Base.PartialMoment(c.Age+x) - c.Base.PartialMoment(c.Age) - c.Age*dF) / s
+	_, cdf, pm := Point(c.Base, c.Age+x)
+	dF := cdf - cdfAge
+	return (pm - pmAge - c.Age*dF) / s
 }
 
 // SurvivalIntegral implements SurvivalIntegraler when the base does:

@@ -136,6 +136,36 @@ type SurvivalIntegraler interface {
 	SurvivalIntegral(x float64) float64
 }
 
+// PointEvaluator is implemented by distributions that can produce the
+// three quantities the Markov model reads at one abscissa — S(x), F(x)
+// and the partial moment ∫₀ˣ t·f(t) dt — in a single pass. The three
+// methods of a closed-form family exponentiate the same arguments
+// (k-phase hyperexponential: the same k values of e^(−λᵢx) for
+// Survival and PartialMoment; Weibull: the same (x/β)^α for all three),
+// and Γ asks for all of them at every probe.
+//
+// Contract: Point(x) returns exactly (Survival(x), CDF(x),
+// PartialMoment(x)), bit for bit, for every x including ±Inf and NaN.
+// An implementation evaluates the same expressions in the same order
+// as the three methods and shares only subexpressions that are equal
+// by construction; it never reassociates a sum or substitutes an
+// algebraically equivalent form (1 − S for −expm1, say). That is what
+// keeps Γ, and with it every T_opt and every table, unchanged by the
+// capability. TestPointMatchesMethods and FuzzPoint pin it.
+type PointEvaluator interface {
+	Point(x float64) (s, cdf, pm float64)
+}
+
+// Point returns (Survival(x), CDF(x), PartialMoment(x)) of d, in one
+// pass when d implements PointEvaluator and by the three methods
+// otherwise.
+func Point(d Distribution, x float64) (s, cdf, pm float64) {
+	if p, ok := d.(PointEvaluator); ok {
+		return p.Point(x)
+	}
+	return d.Survival(x), d.CDF(x), d.PartialMoment(x)
+}
+
 // MeanResidualLife returns E[X - t | X > t], the expected remaining
 // lifetime of a resource that has already been available for t
 // seconds. For heavy-tailed families this grows with t, which is the

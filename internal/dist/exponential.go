@@ -80,6 +80,17 @@ func (e Exponential) PartialMoment(x float64) float64 {
 	return inv - math.Exp(-e.Lambda*x)*(x+inv)
 }
 
+// Point implements PointEvaluator: e^(-λx) is shared by the survival
+// and the partial moment; the CDF keeps its own expm1.
+func (e Exponential) Point(x float64) (s, cdf, pm float64) {
+	if x <= 0 {
+		return 1, 0, 0
+	}
+	ex := math.Exp(-e.Lambda * x)
+	inv := 1 / e.Lambda
+	return ex, -math.Expm1(-e.Lambda * x), inv - ex*(x+inv)
+}
+
 // SurvivalIntegral implements SurvivalIntegraler:
 // ∫ₓ^∞ e^(-λu) du = e^(-λx)/λ.
 func (e Exponential) SurvivalIntegral(x float64) float64 {

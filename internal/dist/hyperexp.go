@@ -128,6 +128,22 @@ func (h Hyperexponential) PartialMoment(x float64) float64 {
 	return sum
 }
 
+// Point implements PointEvaluator: each phase's e^(-λᵢx) is shared by
+// the survival sum and the partial-moment sum, which accumulate in
+// phase order exactly as Survival and PartialMoment do.
+func (h Hyperexponential) Point(x float64) (s, cdf, pm float64) {
+	if x <= 0 {
+		return 1, 0, 0
+	}
+	for i := range h.P {
+		ex := math.Exp(-h.Lambda[i] * x)
+		inv := 1 / h.Lambda[i]
+		s += h.P[i] * ex
+		pm += h.P[i] * (inv - ex*(x+inv))
+	}
+	return s, 1 - s, pm
+}
+
 // SurvivalIntegral implements SurvivalIntegraler:
 // Σᵢ pᵢ e^(-λᵢx)/λᵢ.
 func (h Hyperexponential) SurvivalIntegral(x float64) float64 {

@@ -103,6 +103,17 @@ func (w Weibull) PartialMoment(x float64) float64 {
 	return w.Scale * mathx.GammaP(a, z) * math.Gamma(a)
 }
 
+// Point implements PointEvaluator: z = (x/β)^α is shared by all three
+// quantities.
+func (w Weibull) Point(x float64) (s, cdf, pm float64) {
+	if x <= 0 {
+		return 1, 0, 0
+	}
+	a := 1 + 1/w.Shape
+	z := math.Pow(x/w.Scale, w.Shape)
+	return math.Exp(-z), -math.Expm1(-z), w.Scale * mathx.GammaP(a, z) * math.Gamma(a)
+}
+
 // SurvivalIntegral implements SurvivalIntegraler. Substituting
 // z = (u/β)^α,
 //

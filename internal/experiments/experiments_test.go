@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/cycleharvest/ckptsched/internal/ckptnet"
 	"github.com/cycleharvest/ckptsched/internal/fit"
+	"github.com/cycleharvest/ckptsched/internal/obs"
 	"github.com/cycleharvest/ckptsched/internal/stats"
 )
 
@@ -360,6 +362,60 @@ func TestRunLiveTablesAndValidation(t *testing.T) {
 	}
 	if _, err := RunValidation(w, nil); err == nil {
 		t.Error("nil campaign should error")
+	}
+}
+
+// TestWorkloadFitsEachPairOnce pins who owns the live fits: Table 4,
+// its validation and Table 5 on one workload fit each (machine, model)
+// pair their samples landed on exactly once between them — a count of
+// cache misses, not a timing — and a Workload literal, which has no
+// memo to share, produces the same tables.
+func TestWorkloadFitsEachPairOnce(t *testing.T) {
+	w, err := NewWorkload(WorkloadConfig{Machines: 12, Months: 6, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tables struct {
+		t4, t5 *LiveTable
+		v      *ValidationResult
+		pairs  map[[2]string]bool
+	}
+	run := func(w *Workload) tables {
+		t4, camp4, err := RunLiveTable("Table 4", LiveCampaignConfig{
+			Workload: w, Link: ckptnet.CampusLink(), SamplesPerModel: 6, Seed: 78,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := RunValidation(w, camp4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t5, camp5, err := RunLiveTable("Table 5", LiveCampaignConfig{
+			Workload: w, Link: ckptnet.WideAreaLink(), SamplesPerModel: 3, Seed: 79,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := make(map[[2]string]bool)
+		for _, s := range append(camp4.Samples, camp5.Samples...) {
+			pairs[[2]string{s.Machine, s.Model.String()}] = true
+		}
+		return tables{t4, t5, v, pairs}
+	}
+
+	reg := obs.NewRegistry()
+	fit.Instrument(reg)
+	defer fit.Instrument(nil)
+	shared := run(w)
+	misses := reg.Snapshot().Counters["fit_cache_misses_total"]
+	if int(misses) != len(shared.pairs) {
+		t.Errorf("fit cache misses = %d, want one per distinct (machine, model) placed = %d", misses, len(shared.pairs))
+	}
+
+	private := run(&Workload{Machines: w.Machines, History: w.History})
+	if !reflect.DeepEqual(shared, private) {
+		t.Error("tables differ between a workload that shares its fits and one that cannot")
 	}
 }
 

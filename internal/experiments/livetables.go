@@ -90,6 +90,7 @@ func RunLiveTable(name string, cfg LiveCampaignConfig) (*LiveTable, *live.Campai
 	camp, err := live.RunCampaign(live.CampaignConfig{
 		Machines:        cfg.Workload.Machines,
 		History:         cfg.Workload.History,
+		Fits:            cfg.Workload.fits,
 		Link:            cfg.Link,
 		CheckpointMB:    PaperCheckpointMB,
 		SamplesPerModel: cfg.SamplesPerModel,
@@ -145,7 +146,14 @@ func RunValidation(w *Workload, camp *live.Campaign) (*ValidationResult, error) 
 	if w == nil || camp == nil {
 		return nil, errors.New("experiments: validation needs a workload and a campaign")
 	}
-	rows, err := live.Validate(camp, w.History)
+	fits := w.fits
+	if fits == nil {
+		var err error
+		if fits, err = live.NewFits(w.History); err != nil {
+			return nil, err
+		}
+	}
+	rows, err := live.Validate(camp, fits)
 	if err != nil {
 		return nil, err
 	}

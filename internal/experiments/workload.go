@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"github.com/cycleharvest/ckptsched/internal/condor"
+	"github.com/cycleharvest/ckptsched/internal/live"
 	"github.com/cycleharvest/ckptsched/internal/trace"
 )
 
@@ -74,6 +75,13 @@ type Workload struct {
 	// split into the paper's first-25 training prefix and the
 	// experimental remainder.
 	Data []MachineData
+	// fits memoizes the per-machine fits of History for every live
+	// campaign and validation run on this workload (Tables 4 and 5, the
+	// chaos and delta studies): they all place their processes on the
+	// same machines, so between them each (machine, model) pair is
+	// fitted once. Nil in a Workload not built by NewWorkload, in which
+	// case each campaign fits for itself.
+	fits *live.Fits
 }
 
 // NewWorkload builds the shared dataset: generate the pool, run the
@@ -109,6 +117,9 @@ func NewWorkload(cfg WorkloadConfig) (*Workload, error) {
 	}
 	if len(w.Data) == 0 {
 		return nil, errors.New("experiments: no machine passed the record-count filter; lengthen the campaign")
+	}
+	if w.fits, err = live.NewFits(history); err != nil {
+		return nil, err
 	}
 	return w, nil
 }

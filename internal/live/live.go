@@ -26,6 +26,10 @@
 // timeline and matchmaking sequence are independent of anything a job
 // does between those two instants.
 //
+// Between the phases the distinct (machine, model) pairs the placements
+// need are fitted on the worker pool, into the campaign's Fits; the
+// event loop itself is serial and fits nothing.
+//
 // The replay phase then simulates each sample's session — the
 // recover/work/checkpoint state machine — on a private virtual clock
 // with a private RNG derived from (campaign seed, sample index). The
@@ -117,6 +121,13 @@ type CampaignConfig struct {
 	// interval's work dirtied. The zero value disables delta entirely
 	// and leaves the campaign bit-identical to earlier builds.
 	Delta DeltaPolicy
+	// Fits, when set, is the fit memo this campaign reads and fills,
+	// so campaigns and validations over one History fit each (machine,
+	// model) pair once between them; it must have been built by NewFits
+	// from this History. It shares work, not behaviour: a campaign is
+	// identical with it, without it (nil: RunCampaign builds a private
+	// one), and whatever other campaigns used it before or meanwhile.
+	Fits *Fits
 	// Predict configures the oracle fault predictor (DESIGN.md §13):
 	// each session draws its alarms from a private stream derived from
 	// (Seed, sample index) via predict.StreamSeed, so enabling
@@ -339,14 +350,25 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 		return nil, errors.New("live: Delta.VariableCost requires Delta.Enabled")
 	}
 
-	fits, err := newFitCache(cfg.History)
-	if err != nil {
-		return nil, err
+	fits := cfg.Fits
+	if fits == nil {
+		var err error
+		if fits, err = NewFits(cfg.History); err != nil {
+			return nil, err
+		}
+	} else if fits.history != cfg.History {
+		return nil, errors.New("live: Fits was built from a different history")
 	}
 
-	allocs, err := planAllocations(cfg, fits)
-	if err != nil {
+	// A fit that fails aborts the campaign at the first placement that
+	// needs it — before anything that went wrong in the event loop
+	// after that placement.
+	allocs, planErr := planAllocations(cfg)
+	if err := fits.fitPlaced(allocs); err != nil {
 		return nil, err
+	}
+	if planErr != nil {
+		return nil, planErr
 	}
 	if cfg.WireBins > 0 {
 		span := 0.0
@@ -382,25 +404,11 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	}
 
 	// Sessions are independent: fan out over a bounded worker pool.
-	workers := min(runtime.GOMAXPROCS(0), total)
 	errs := make([]error, total)
-	idxc := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxc {
-				rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, idx)))
-				samples[idx], errs[idx] = runSession(cfg, chaos, fits, nil, idx, allocs[idx], rng)
-			}
-		}()
-	}
-	for idx := range allocs {
-		idxc <- idx
-	}
-	close(idxc)
-	wg.Wait()
+	forEach(total, func(idx int) {
+		rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, idx)))
+		samples[idx], errs[idx] = runSession(cfg, chaos, fits, nil, idx, allocs[idx], rng)
+	})
 	// Resolve a failure deterministically: the smallest failing index
 	// wins, independent of worker interleaving.
 	for _, err := range errs {
@@ -421,15 +429,39 @@ type allocation struct {
 	evictAt float64
 }
 
+// forEach calls fn(0) … fn(n-1) from min(GOMAXPROCS, n) workers and
+// returns when every call has. fn must be safe to run concurrently
+// with itself and must keep what it produces apart by index.
+func forEach(n int, fn func(i int)) {
+	idxc := make(chan int)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idxc {
+				fn(i)
+			}
+		}()
+	}
+	for i := range n {
+		idxc <- i
+	}
+	close(idxc)
+	wg.Wait()
+}
+
 // planAllocations plays the pool's event loop with ghost jobs to learn
 // every sample's (machine, start, T_elapsed, eviction) tuple. Ghosts
 // reproduce the real submission protocol exactly — Concurrency jobs in
 // flight, each eviction submitting the next pending sample from the
 // event loop — and occupy machines from placement to reclaim, which is
-// all the pool ever observes of a job. Model fits are validated here
-// too (first failing allocation in event order aborts, matching the
-// in-loop protocol), so the replay phase cannot fail on fits.
-func planAllocations(cfg CampaignConfig, fits *fitCache) ([]allocation, error) {
+// all the pool ever observes of a job. The loop is serial and only
+// records; fitPlaced fits what the placements need off the loop. The
+// ghosts all ask for the same memory and the pool's queue is FIFO, so
+// samples are placed in index order at any Concurrency, and on an
+// error the returned slice is the prefix that was placed before it.
+func planAllocations(cfg CampaignConfig) ([]allocation, error) {
 	pool, err := condor.NewPool(cfg.Machines, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -440,23 +472,19 @@ func planAllocations(cfg CampaignConfig, fits *fitCache) ([]allocation, error) {
 
 	var (
 		nextIdx   int
+		placed    int
 		completed int
 		failErr   error
 	)
 	var submitNext func() error
 	ghost := func(idx int) *condor.Job {
-		model := modelFor(idx)
 		job := &condor.Job{
-			Name:       fmt.Sprintf("testproc-%04d-%s", idx, model),
+			Name:       fmt.Sprintf("testproc-%04d-%s", idx, modelFor(idx)),
 			RequiresMB: cfg.RequiresMB,
 		}
 		job.OnStart = func(a condor.Alloc) {
 			allocs[idx] = allocation{machine: a.Machine, start: a.Start, tel: a.TElapsed}
-			if _, fitErr := fits.fitFor(a.Machine.Name, model); fitErr != nil && failErr == nil {
-				// A broken archive is a configuration error; abort with
-				// the first allocation that trips over it.
-				failErr = fmt.Errorf("live: sample %d (%v): %w", idx, model, fitErr)
-			}
+			placed++
 		}
 		job.OnEvict = func(at float64) {
 			allocs[idx].evictAt = at
@@ -489,18 +517,15 @@ func planAllocations(cfg CampaignConfig, fits *fitCache) ([]allocation, error) {
 	}
 	for range conc {
 		if err := submitNext(); err != nil {
-			return nil, err
+			return allocs[:placed], err
 		}
 	}
 	for completed < total && failErr == nil {
 		if !clock.Step() {
-			return nil, errors.New("live: pool ran out of events before the campaign completed")
+			return allocs[:placed], errors.New("live: pool ran out of events before the campaign completed")
 		}
 	}
-	if failErr != nil {
-		return nil, failErr
-	}
-	return allocs, nil
+	return allocs[:placed], failErr
 }
 
 // runSession simulates one test process's session — the
@@ -514,7 +539,7 @@ func planAllocations(cfg CampaignConfig, fits *fitCache) ([]allocation, error) {
 // behaviors: torn transfers are retried with exponential backoff
 // (phaseBackoff), and manager outages degrade the schedule to the last
 // assigned interval instead of aborting.
-func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *forecast.BandwidthPredictor, idx int, al allocation, rng *rand.Rand) (Sample, error) {
+func runSession(cfg CampaignConfig, chaos chaosLink, fits *Fits, predictor *forecast.BandwidthPredictor, idx int, al allocation, rng *rand.Rand) (Sample, error) {
 	type phase int
 	const (
 		phaseRecovering phase = iota
@@ -577,8 +602,8 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 
 	d, fitErr := fits.fitFor(al.machine.Name, model)
 	if fitErr != nil {
-		// Unreachable in practice: the allocation pre-pass validated
-		// this exact fit and the cache memoizes it.
+		// Unreachable in practice: fitPlaced checked this exact fit and
+		// the cache memoizes it.
 		return Sample{}, fmt.Errorf("live: sample %d (%v): %w", idx, model, fitErr)
 	}
 
@@ -917,7 +942,7 @@ func runSession(cfg CampaignConfig, chaos chaosLink, fits *fitCache, predictor *
 // an exponential fit of the pooled availability archive — the
 // memoryless, most conservative member of the model family — with the
 // best available cost estimate.
-func conservativeTopt(fits *fitCache, heartbeatSec, planC, age float64) float64 {
+func conservativeTopt(fits *Fits, heartbeatSec, planC, age float64) float64 {
 	if d, err := fits.conservative(); err == nil && planC > 0 {
 		m := markov.Model{Avail: d, Costs: markov.Costs{C: planC, R: planC, L: planC}}
 		if topt, _, err := m.Topt(age, markov.OptimizeOptions{}); err == nil && topt > 0 {
@@ -930,15 +955,25 @@ func conservativeTopt(fits *fitCache, heartbeatSec, planC, age float64) float64 
 	return heartbeatSec
 }
 
-// fitCache memoizes per-(machine, model) fits, with a pooled fallback
-// for machines lacking history. It wraps the concurrency-safe
-// fit.Cache, so replay-phase workers can share it: each (machine,
-// model) pair is fitted at most once across the whole campaign, and
-// concurrent first requests single-flight instead of refitting.
-type fitCache struct {
+// Fits memoizes the per-(machine, model) fits of one availability
+// history, with a pooled fallback for machines lacking history. It
+// wraps the concurrency-safe fit.Cache, so replay-phase workers — and
+// any number of campaigns and validations over the same history — can
+// share it: each (machine, model) pair is fitted at most once, and
+// concurrent first requests single-flight instead of refitting. Fits
+// and their errors are deterministic functions of the history, so who
+// asked first never shows in a result.
+type Fits struct {
+	// history identifies the archive the durations were read from.
 	history *trace.Set
-	pooled  []float64
-	cache   *fit.Cache
+	// durations holds each machine's history when it is long enough to
+	// fit on its own; every other machine is fitted on pooled. The
+	// slices are extracted once so that a repeat fitFor is a map probe:
+	// fit.Cache recognises the very slice an entry was created with and
+	// skips re-fingerprinting it.
+	durations map[string][]float64
+	pooled    []float64
+	cache     *fit.Cache
 	// conservative() memoizes the exponential fit of the pooled
 	// archive, the degraded-mode fallback distribution.
 	consOnce sync.Once
@@ -946,36 +981,66 @@ type fitCache struct {
 	consErr  error
 }
 
-func newFitCache(history *trace.Set) (*fitCache, error) {
-	var pooled []float64
-	for _, name := range history.Machines() {
-		pooled = append(pooled, history.Traces[name].Durations()...)
+// NewFits reads history's durations — history must not change
+// afterwards — and returns an empty memo over them. Pass it as
+// CampaignConfig.Fits and to Validate to fit once across several calls.
+func NewFits(history *trace.Set) (*Fits, error) {
+	if history == nil {
+		return nil, errors.New("live: no availability history")
 	}
-	if len(pooled) == 0 {
+	f := &Fits{
+		history:   history,
+		durations: make(map[string][]float64),
+		cache:     fit.NewCache(),
+	}
+	for _, name := range history.Machines() {
+		d := history.Traces[name].Durations()
+		f.pooled = append(f.pooled, d...)
+		if len(d) >= trace.DefaultTrainingSize {
+			f.durations[name] = d
+		}
+	}
+	if len(f.pooled) == 0 {
 		return nil, errors.New("live: empty history")
 	}
-	return &fitCache{
-		history: history,
-		pooled:  pooled,
-		cache:   fit.NewCache(),
-	}, nil
+	return f, nil
 }
 
 // fitFor returns the fitted distribution for machine under model. Safe
 // for concurrent use.
-func (fc *fitCache) fitFor(machine string, model fit.Model) (dist.Distribution, error) {
-	data := fc.pooled
-	if tr, ok := fc.history.Traces[machine]; ok && tr.Len() >= trace.DefaultTrainingSize {
-		data = tr.Durations()
+func (f *Fits) fitFor(machine string, model fit.Model) (dist.Distribution, error) {
+	data, ok := f.durations[machine]
+	if !ok {
+		data = f.pooled
 	}
-	return fc.cache.Fit(machine, model, data)
+	return f.cache.Fit(machine, model, data)
+}
+
+// fitPlaced fits what the placed samples need over the worker pool —
+// the memo single-flights samples that share a (machine, model) pair —
+// and reports the first failure in placement order: the sample the
+// serial event loop would have tripped over first had it fitted at
+// each placement. After a nil return the replay phase cannot fail on
+// fits.
+func (f *Fits) fitPlaced(allocs []allocation) error {
+	errs := make([]error, len(allocs))
+	forEach(len(allocs), func(idx int) {
+		_, errs[idx] = f.fitFor(allocs[idx].machine.Name, modelFor(idx))
+	})
+	for idx, err := range errs {
+		if err != nil {
+			// A broken archive is a configuration error.
+			return fmt.Errorf("live: sample %d (%v): %w", idx, modelFor(idx), err)
+		}
+	}
+	return nil
 }
 
 // conservative returns the exponential fit of the pooled archive,
 // fitting it on first use. Safe for concurrent use.
-func (fc *fitCache) conservative() (dist.Distribution, error) {
-	fc.consOnce.Do(func() {
-		fc.consDist, fc.consErr = fit.Fit(fit.ModelExponential, fc.pooled)
+func (f *Fits) conservative() (dist.Distribution, error) {
+	f.consOnce.Do(func() {
+		f.consDist, f.consErr = fit.Fit(fit.ModelExponential, f.pooled)
 	})
-	return fc.consDist, fc.consErr
+	return f.consDist, f.consErr
 }

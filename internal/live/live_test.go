@@ -296,7 +296,11 @@ func TestValidateAgreesLoosely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Validate(camp, history)
+	fits, err := NewFits(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Validate(camp, fits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,8 +433,15 @@ func TestValidateErrors(t *testing.T) {
 		t.Error("nil campaign should error")
 	}
 	_, history := testbed(t, 3, 19)
-	if _, err := Validate(&Campaign{}, history); err == nil {
+	fits, err := NewFits(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Validate(&Campaign{}, fits); err == nil {
 		t.Error("empty campaign should error")
+	}
+	if _, err := Validate(&Campaign{Samples: make([]Sample, 1)}, nil); err == nil {
+		t.Error("nil fits should error")
 	}
 }
 

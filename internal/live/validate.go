@@ -7,7 +7,6 @@ import (
 	"github.com/cycleharvest/ckptsched/internal/markov"
 	"github.com/cycleharvest/ckptsched/internal/sim"
 	"github.com/cycleharvest/ckptsched/internal/stats"
-	"github.com/cycleharvest/ckptsched/internal/trace"
 )
 
 // ValidationRow compares, for one model family, the efficiency the
@@ -33,14 +32,16 @@ type ValidationRow struct {
 func (v ValidationRow) Delta() float64 { return v.LiveEfficiency - v.SimEfficiency }
 
 // Validate replays every live sample through the discrete-event
-// simulator and reports per-model live-vs-simulated efficiency.
-func Validate(c *Campaign, history *trace.Set) ([]ValidationRow, error) {
+// simulator and reports per-model live-vs-simulated efficiency. fits
+// is the memo over the history the campaign ran on — the campaign's
+// own CampaignConfig.Fits, which already holds every fit this needs,
+// or a fresh NewFits of that history.
+func Validate(c *Campaign, fits *Fits) ([]ValidationRow, error) {
 	if c == nil || len(c.Samples) == 0 {
 		return nil, errors.New("live: no samples to validate")
 	}
-	fits, err := newFitCache(history)
-	if err != nil {
-		return nil, err
+	if fits == nil {
+		return nil, errors.New("live: no fits to validate with")
 	}
 
 	// Campaign-wide mean transfer cost, the fallback for sessions that

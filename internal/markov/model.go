@@ -307,13 +307,15 @@ func (m Model) toptWarm(age, prev float64, opts OptimizeOptions) (T, ratio float
 
 // gammaEvaluator computes Γ(T) at one fixed resource age with the
 // age-constant base-distribution terms — S(age), F(age), and the
-// partial moment PM(age) — hoisted out of the per-T inner loop. Every
-// T_opt search probes Γ dozens of times at the same age, and those
-// three terms cost three of the eight special-function evaluations
-// behind each probe.
+// partial moment PM(age) — hoisted out of the per-T inner loop: every
+// T_opt search probes Γ dozens of times at the same age. What is left
+// per probe is two dist.Point evaluations of the base law, one at
+// age+span0 and one at span2, each a single pass over the family's
+// exponentials or powers.
 //
 // The arithmetic below reproduces Model.Gamma exactly: the same
-// base-distribution calls combined by the same expressions in the same
+// base-distribution values (dist.Point returns the three methods'
+// results bit for bit) combined by the same expressions in the same
 // order (compare At and dist.Conditional), so optimizers driven by the
 // evaluator return bit-identical abscissae and ratios. That invariant
 // is what lets the caching claim "identical table and figure numbers";
@@ -332,13 +334,9 @@ func (m Model) evaluator(age float64) gammaEvaluator {
 	if age < 0 {
 		age = 0
 	}
-	return gammaEvaluator{
-		m:      m,
-		age:    age,
-		sAge:   m.Avail.Survival(age),
-		cdfAge: m.Avail.CDF(age),
-		pmAge:  m.Avail.PartialMoment(age),
-	}
+	e := gammaEvaluator{m: m, age: age}
+	e.sAge, e.cdfAge, e.pmAge = dist.Point(m.Avail, age)
+	return e
 }
 
 // gamma evaluates Γ(T) with the cached age terms; it mirrors
@@ -351,27 +349,27 @@ func (e gammaEvaluator) gamma(T float64) float64 {
 	ckptC, ckptL := m.costAt(T)
 
 	// State 0 under the future-lifetime distribution. span0 > 0, so
-	// the x<=0 guards of dist.Conditional never fire here.
+	// the x<=0 guards of dist.Conditional never fire here. pm is the
+	// conditional partial moment at span0; a resource already certain
+	// to have failed (S(age) = 0) has P01 = 0 and pm = 0.
 	span0 := ckptC + T
-	var P01 float64
-	if e.sAge > 0 {
-		P01 = m.Avail.Survival(e.age+span0) / e.sAge
-	}
 	K01 := span0
+	var P01, pm float64
+	if e.sAge > 0 {
+		s0, cdf0, pm0 := dist.Point(m.Avail, e.age+span0)
+		P01 = s0 / e.sAge
+		dF := cdf0 - e.cdfAge
+		pm = (pm0 - e.pmAge - e.age*dF) / e.sAge
+	}
 	P02 := 1 - P01
 	if P02 <= 0 {
 		return K01
 	}
-	var K02 float64
-	if e.sAge > 0 {
-		dF := m.Avail.CDF(e.age+span0) - e.cdfAge
-		pm := (m.Avail.PartialMoment(e.age+span0) - e.pmAge - e.age*dF) / e.sAge
-		K02 = pm / P02
-	}
+	K02 := pm / P02
 
 	// State 2 under the unconditional distribution (age has reset).
 	span2 := ckptL + m.Costs.R + T
-	P21 := m.Avail.Survival(span2)
+	P21, _, pm2 := dist.Point(m.Avail, span2)
 	if P21 <= 0 {
 		return math.Inf(1)
 	}
@@ -379,7 +377,7 @@ func (e gammaEvaluator) gamma(T float64) float64 {
 	P22 := 1 - P21
 	var K22 float64
 	if P22 > 0 {
-		K22 = m.Avail.PartialMoment(span2) / P22
+		K22 = pm2 / P22
 	}
 	e2 := K21 + K22*P22/P21
 	return P01*K01 + P02*(K02+e2)
