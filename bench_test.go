@@ -129,6 +129,7 @@ func BenchmarkTable3BandwidthCI(b *testing.B) {
 // a reduced sample count.
 func BenchmarkTable4LiveCampus(b *testing.B) {
 	w := benchWorkload(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
 		t4, _, err := experiments.RunLiveTable("bench", experiments.LiveCampaignConfig{
@@ -147,6 +148,7 @@ func BenchmarkTable4LiveCampus(b *testing.B) {
 // BenchmarkTable5LiveWAN regenerates Table 5 (wide-area manager).
 func BenchmarkTable5LiveWAN(b *testing.B) {
 	w := benchWorkload(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
 		t5, _, err := experiments.RunLiveTable("bench", experiments.LiveCampaignConfig{

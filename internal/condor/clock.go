@@ -14,24 +14,14 @@ package condor
 
 import "container/heap"
 
-// Event is a scheduled callback in virtual time. Cancel prevents a
-// pending event from firing.
-type Event struct {
-	at       float64
-	seq      uint64
-	fn       func()
-	canceled bool
-	index    int
+// event is a scheduled callback in virtual time.
+type event struct {
+	at  float64
+	seq uint64
+	fn  func()
 }
 
-// At returns the virtual time the event fires.
-func (e *Event) At() float64 { return e.at }
-
-// Cancel prevents the event from firing. Canceling an already-fired
-// or already-canceled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -40,16 +30,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq // FIFO among simultaneous events
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -71,51 +53,34 @@ type Clock struct {
 func (c *Clock) Now() float64 { return c.now }
 
 // Schedule registers fn to run after delay seconds (clamped to now for
-// negative delays) and returns a cancellable handle.
-func (c *Clock) Schedule(delay float64, fn func()) *Event {
+// negative delays).
+func (c *Clock) Schedule(delay float64, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	e := &Event{at: c.now + delay, seq: c.seq, fn: fn}
+	heap.Push(&c.events, &event{at: c.now + delay, seq: c.seq, fn: fn})
 	c.seq++
-	heap.Push(&c.events, e)
-	return e
 }
 
 // Step fires the next pending event, returning false when none
 // remain.
 func (c *Clock) Step() bool {
-	for c.events.Len() > 0 {
-		e := heap.Pop(&c.events).(*Event)
-		if e.canceled {
-			continue
-		}
-		c.now = e.at
-		e.fn()
-		return true
+	if c.events.Len() == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&c.events).(*event)
+	c.now = e.at
+	e.fn()
+	return true
 }
 
 // RunUntil fires events in order until virtual time would pass t (the
 // clock ends at exactly t) or no events remain.
 func (c *Clock) RunUntil(t float64) {
-	for c.events.Len() > 0 {
-		// Peek.
-		next := c.events[0]
-		if next.canceled {
-			heap.Pop(&c.events)
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for c.events.Len() > 0 && c.events[0].at <= t {
 		c.Step()
 	}
 	if c.now < t {
 		c.now = t
 	}
 }
-
-// Pending returns the number of scheduled (possibly canceled) events.
-func (c *Clock) Pending() int { return c.events.Len() }

@@ -32,21 +32,6 @@ func TestClockSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestClockCancel(t *testing.T) {
-	var c Clock
-	fired := false
-	e := c.Schedule(5, func() { fired = true })
-	e.Cancel()
-	c.RunUntil(10)
-	if fired {
-		t.Error("canceled event fired")
-	}
-	// Cancel after firing is a no-op.
-	e2 := c.Schedule(1, func() {})
-	c.RunUntil(20)
-	e2.Cancel()
-}
-
 func TestClockRunUntilStopsBeforeLaterEvents(t *testing.T) {
 	var c Clock
 	fired := false

@@ -141,7 +141,6 @@ type machineState struct {
 	idle      bool
 	idleSince float64
 	running   *Job
-	reclaim   *Event
 }
 
 // Pool is the matchmaker and event loop that binds machines and jobs.
@@ -338,7 +337,7 @@ func (p *Pool) becomeIdle(ms *machineState) {
 	ms.idle = true
 	ms.idleSince = p.clock.Now()
 	d := ms.spec.Idle.Rand(p.rng) * diurnalFactor(p.clock.Now(), ms.spec.DiurnalAmplitude)
-	ms.reclaim = p.clock.Schedule(d, func() { p.reclaimMachine(ms) })
+	p.clock.Schedule(d, func() { p.reclaimMachine(ms) })
 	p.match()
 }
 

@@ -280,20 +280,6 @@ func (c *Campaign) PredictionTotals() predict.Ledger {
 	return total
 }
 
-// chaosLink is the fault-injection surface a link may expose beyond
-// plain transfer times; ckptnet.ChaosLink implements it. When the
-// campaign's Link satisfies it the runner switches into resilient
-// mode: transfer attempts may tear and are retried with exponential
-// backoff, and a schedule recomputation may find the manager
-// unreachable, degrading the process onto its previous schedule.
-type chaosLink interface {
-	ckptnet.Link
-	Attempt(bytes int64, rng *rand.Rand) ckptnet.TransferAttempt
-	Unreachable(rng *rand.Rand) bool
-	MaxAttempts() int
-	BackoffSec(attempt int, rng *rand.Rand) float64
-}
-
 // modelFor returns the model family assigned to sample idx: submissions
 // rotate across the four families exactly as the paper alternates its
 // test processes.
@@ -384,7 +370,13 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 
 	total := len(allocs)
 	samples := make([]Sample, total)
-	chaos, _ := cfg.Link.(chaosLink)
+	// Over a ChaosLink sessions run in resilient mode: transfer attempts
+	// may tear and are retried with exponential backoff, and a schedule
+	// recomputation may find the manager unreachable.
+	var chaos *ckptnet.ChaosLink
+	if cl, ok := cfg.Link.(ckptnet.ChaosLink); ok {
+		chaos = &cl
+	}
 
 	if cfg.UseForecast {
 		// The bandwidth predictor learns from every completed transfer
@@ -528,413 +520,402 @@ func planAllocations(cfg CampaignConfig) ([]allocation, error) {
 	return allocs[:placed], failErr
 }
 
-// runSession simulates one test process's session — the
-// recover/work/checkpoint state machine between placement and
-// eviction — on a private virtual clock starting at 0 (session times
-// are relative; nothing in a session depends on absolute pool time).
-// It is the unit of replay-phase parallelism: everything it touches is
-// private except the concurrency-safe fit cache and, for forecast
-// campaigns, the shared predictor (in which case sessions run
-// sequentially). Over a chaosLink the machine gains two extra
-// behaviors: torn transfers are retried with exponential backoff
-// (phaseBackoff), and manager outages degrade the schedule to the last
-// assigned interval instead of aborting.
-func runSession(cfg CampaignConfig, chaos chaosLink, fits *Fits, predictor *forecast.BandwidthPredictor, idx int, al allocation, rng *rand.Rand) (Sample, error) {
-	type phase int
-	const (
-		phaseRecovering phase = iota
-		phaseWorking
-		phaseCheckpointing
-		phaseBackoff
-	)
+// session is one test process between placement and the owner's
+// reclaim: the paper's loop — recover, compute T_opt from the measured
+// transfer, work while heart-beating, checkpoint, re-measure, repeat —
+// on a private virtual clock starting at 0 (session times are relative;
+// nothing in a session depends on absolute pool time). It is the unit
+// of replay-phase parallelism: everything it touches is private except
+// the concurrency-safe fit memo and, for forecast campaigns, the shared
+// bandwidth predictor (in which case sessions run sequentially).
+type session struct {
+	Sample // the run's score card, filled as the session goes
 
-	var (
-		s           Sample
-		clock       condor.Clock
-		evicted     bool
-		measuredC   float64
-		topt        float64
-		pendingWork float64 // work computed but not yet committed by a checkpoint
-		ph          phase
-		phaseT0     float64 // virtual time the current phase began
-		phaseDur    float64 // planned phase duration
-		phaseMB     float64 // size of the transfer in flight (a delta's wire size, not the image's)
-		pending     *condor.Event
-		migrating   bool // current transfer is a prediction-triggered migration
-		predTrue    bool // a true alarm fired this session
-		alarmIdx    int  // alarms settled so far (fired or flushed)
-	)
+	cfg      CampaignConfig
+	chaos    *ckptnet.ChaosLink           // nil over a fault-free link
+	fits     *Fits                        // for the conservative fallback interval
+	forecast *forecast.BandwidthPredictor // nil unless cfg.UseForecast
+	rng      *rand.Rand                   // transfer and chaos draws, in session-time order
+	avail    dist.Distribution            // the fitted law the process schedules with
+
+	// Trace lane: one pid per sample, the session on tid 1 and the
+	// predictor on tid 2, timestamps on the campaign's virtual axis
+	// (allocation start + session time).
+	pid   uint64
+	start float64
+
+	now       float64 // session clock; only wait moves it
+	reclaimAt float64 // when the owner returns
+	bytes     int64   // full image size
+
+	measuredC   float64 // last measured (or, after an abandoned transfer, estimated) transfer time
+	topt        float64
+	pendingWork float64 // work computed but not yet committed by a checkpoint
+
+	// Delta checkpointing: once a full image has landed (hasBase),
+	// checkpoints ship only dirty chunks. fullSec is that image's
+	// transfer time, the bandwidth anchor of the variable-cost curve.
+	hasBase bool
+	fullSec float64
+
+	// The oracle predictor's alarms for this session, drawn up front
+	// from a private stream; alarms[:alarmIdx] have fired.
+	alarms   []predict.Event
+	alarmIdx int
+	predTrue bool // a true alarm has fired
+}
+
+// How a wait or a transfer ended.
+type ending int
+
+const (
+	ran       ending = iota // the phase ran its length; the transfer committed
+	alarmed                 // wait only: a predictor alarm cut the work short
+	abandoned               // transfer only: every attempt tore
+	evicted                 // the owner reclaimed the machine
+)
+
+// Dedup chunks are 64 KiB, matching imagestore.DefaultChunkSize.
+const chunkBytes = 64 << 10
+
+// runSession replays sample idx's session over its allocation and
+// returns the score card. Over a ChaosLink the session gains two
+// behaviours: torn transfers are retried with exponential backoff, and
+// manager outages degrade the schedule to the last assigned interval
+// instead of aborting.
+func runSession(cfg CampaignConfig, chaos *ckptnet.ChaosLink, fits *Fits, predictor *forecast.BandwidthPredictor, idx int, al allocation, rng *rand.Rand) (Sample, error) {
 	model := modelFor(idx)
-	s.Model = model
-	s.Machine = al.machine.Name
-	s.TElapsed = al.tel
-	tel := al.tel
-	sessionLen := al.evictAt - al.start
-	bytes := int64(cfg.CheckpointMB * ckptnet.MB)
-
-	// Delta checkpointing state: hasBase becomes true once a full image
-	// has landed at the manager (the recovery transfer), after which
-	// checkpoints ship only dirty chunks. The wire size is a
-	// deterministic function of the uncommitted-work window, so the
-	// delta path draws exactly the same RNG sequence as the full path.
-	var (
-		hasBase bool
-		fullSec float64 // last measured full-image transfer time (recovery)
-	)
-	// Dedup chunks are 64 KiB, matching imagestore.DefaultChunkSize.
-	const chunkBytes = 64 << 10
-	numChunks := (bytes + chunkBytes - 1) / chunkBytes
-	// deltaWire is the expected bytes-on-wire for a checkpoint taken
-	// after workSec seconds of uncommitted work, rounded to whole
-	// chunks (at least one: the manifest always moves something).
-	deltaWire := func(workSec float64) int64 {
-		f := -math.Expm1(-cfg.Delta.DirtyRate * workSec)
-		dirty := int64(math.Round(float64(numChunks) * f))
-		if dirty < 1 {
-			dirty = 1
-		}
-		wire := dirty * chunkBytes
-		if wire > bytes {
-			wire = bytes
-		}
-		return wire
-	}
-
-	d, fitErr := fits.fitFor(al.machine.Name, model)
-	if fitErr != nil {
+	d, err := fits.fitFor(al.machine.Name, model)
+	if err != nil {
 		// Unreachable in practice: fitPlaced checked this exact fit and
 		// the cache memoizes it.
-		return Sample{}, fmt.Errorf("live: sample %d (%v): %w", idx, model, fitErr)
+		return Sample{}, fmt.Errorf("live: sample %d (%v): %w", idx, model, err)
 	}
-
-	// Trace lane: one pid per sample, timestamps on the campaign's
-	// virtual axis (allocation start + session-local time).
-	tr := cfg.Tracer
-	pid := cfg.TracePidBase + uint64(idx) + 1
-	abs := func(t float64) float64 { return al.start + t }
-
-	// Oracle fault predictor: this session's alarms come from a private
-	// stream derived from (Seed, idx), so the session's transfer and
-	// chaos draws on rng are untouched whether or not prediction is on.
-	// Predictor events live on their own trace lane (tid 2).
-	var pred *predict.Predictor
-	var alarms []predict.Event
+	s := &session{
+		Sample:    Sample{Model: model, Machine: al.machine.Name, TElapsed: al.tel},
+		cfg:       cfg,
+		chaos:     chaos,
+		fits:      fits,
+		forecast:  predictor,
+		rng:       rng,
+		avail:     d,
+		pid:       cfg.TracePidBase + uint64(idx) + 1,
+		start:     al.start,
+		reclaimAt: al.evictAt - al.start,
+		bytes:     int64(cfg.CheckpointMB * ckptnet.MB),
+	}
+	// The alarms come from a private stream derived from (Seed, idx), so
+	// the session's transfer and chaos draws on rng are untouched whether
+	// or not prediction is on.
 	if cfg.Predict.Enabled() {
-		pred, _ = predict.New(cfg.Predict) // RunCampaign vetted the config
+		pred, _ := predict.New(cfg.Predict) // RunCampaign vetted the config
 		prng := rand.New(rand.NewSource(predict.StreamSeed(taskSeed(cfg.Seed, idx))))
-		alarms = pred.PeriodEvents(sessionLen, prng)
+		s.alarms = pred.PeriodEvents(s.reclaimAt, prng)
 	}
-	planningC := func() float64 {
-		if predictor != nil {
-			if sec, err := predictor.PredictTransferSec(bytes); err == nil {
-				return sec
-			}
-		}
-		return measuredC
-	}
-	// bandwidthEst anchors the variable-cost curve: the shared forecast
-	// when one is running, else the session's own full-image recovery
-	// measurement (delta transfer times are the wrong anchor — their
-	// size varies with the interval, which is the very thing the curve
-	// models).
-	bandwidthEst := func() float64 {
-		if predictor != nil {
-			if bw, err := predictor.Bandwidth(); err == nil {
-				return bw
-			}
-		}
-		if fullSec > 0 {
-			return float64(bytes) / fullSec
-		}
-		return 0
-	}
-	// ageNow is the hosting resource's age: phases are contiguous in
-	// virtual time (including retry backoff), so age is always the
-	// allocation age plus the session's elapsed time.
-	ageNow := func() float64 { return tel + clock.Now() }
 
-	var beginWork func()
-	var beginCheckpoint func()
-	var doTransfer func(kind phase, attempt int, onDone, onFail func(sec float64))
+	s.run()
 
-	// doTransfer moves one checkpoint image over the link. Over a
-	// chaosLink an attempt may tear partway; torn attempts are retried
-	// after exponential backoff, up to the link's MaxAttempts, after
-	// which onFail degrades the process (sec = the last attempt's
-	// estimated full duration, the process's best remaining cost
-	// estimate).
-	// transferName maps a transfer phase to its trace-span name.
-	transferName := func(kind phase) string {
-		if kind == phaseRecovering {
-			return "transfer.recovery"
+	tr := cfg.Tracer
+	s.SessionSec = s.now
+	if !s.Migrated {
+		tr.EventAt(s.pid, 1, "evicted", s.stamp())
+	}
+	if cfg.Predict.Enabled() {
+		if !s.Migrated {
+			// Settle the predictor's books: alarms due at the eviction
+			// instant itself still fired, and the reclaim is a hit or a
+			// miss depending on whether a true alarm preceded it.
+			s.Evict(tr, s.pid, 2, s.start, s.stamp(), s.alarms[s.alarmIdx:], s.predTrue)
 		}
+		s.Flush()
+	}
+	tr.SpanAt(s.pid, 1, "session", s.start, s.SessionSec,
+		obs.AttrStr("model", model.String()),
+		obs.AttrStr("machine", s.Machine),
+		obs.AttrFloat("t_elapsed", s.TElapsed),
+		obs.AttrFloat("t_opt", s.topt),
+		obs.AttrFloat("efficiency", s.Efficiency()),
+		obs.AttrBool("migrated", s.Migrated),
+		obs.AttrInt("intervals", int64(s.Intervals)))
+	return s.Sample, nil
+}
+
+// run is the test process: it returns when the owner reclaims the
+// machine (wherever that lands, the phase it cut short has billed what
+// was lost) or when a migration has carried the process off it.
+func (s *session) run() {
+	// Recovery. If it is abandoned the process starts computing from
+	// scratch.
+	if s.transfer("transfer.recovery", false) == evicted {
+		return
+	}
+	for {
+		s.decide()
+
+		// Work, heart-beating every HeartbeatSec. The interval's work
+		// stays pending until a checkpoint transfer commits it.
+		t0 := s.now
+		worked := s.topt
+		cut := s.wait(s.topt, true)
+		if cut != ran {
+			worked = s.now - t0
+		}
+		s.Heartbeats += int(worked / s.cfg.HeartbeatSec)
+		if cut == evicted {
+			s.LostWork += s.pendingWork + worked
+			return
+		}
+		s.pendingWork += worked
+
+		// Checkpoint: the scheduled one that ends the interval or, after
+		// an alarm, the proactive one — a migration under PolicyMigrate.
+		name := "transfer.checkpoint"
+		migrating := cut == alarmed && s.cfg.Policy == predict.PolicyMigrate
 		if migrating {
-			return "transfer.migrate"
+			name = "transfer.migrate"
 		}
-		return "transfer.checkpoint"
+		switch s.transfer(name, true) {
+		case evicted:
+			return
+		case abandoned:
+			// The process stays put and keeps computing on the degraded
+			// schedule; the work stays pending until the next checkpoint
+			// goes through.
+			s.Fallbacks++
+			s.cfg.Tracer.EventAt(s.pid, 1, "fallback", s.stamp(),
+				obs.AttrStr("cause", "retries-exhausted"))
+			continue
+		}
+		// Committed — including any work a previously abandoned
+		// checkpoint left uncommitted.
+		s.CommittedWork += s.pendingWork
+		s.pendingWork = 0
+		if migrating {
+			// The image is at the destination: the process leaves the
+			// doomed machine and the session ends here.
+			s.AddMigration(s.cfg.CheckpointMB)
+			s.Migrated = true
+			return
+		}
+		if cut == alarmed {
+			s.ProactiveCheckpoints++
+		}
+		s.Checkpoints++
 	}
+}
 
-	doTransfer = func(kind phase, attempt int, onDone, onFail func(sec float64)) {
-		t0 := clock.Now()
-		// Size the transfer: checkpoints over an established base ship
-		// only the chunks dirtied since the last commit. Retries recompute
-		// the same size (pendingWork is untouched during backoff).
-		xfer, mb := bytes, cfg.CheckpointMB
-		isDelta := false
-		if kind == phaseCheckpointing && cfg.Delta.Enabled && hasBase {
-			xfer = deltaWire(pendingWork)
+// wait moves the session clock forward by dur, or to whatever happens
+// first — the only place time passes, so the only place the owner's
+// reclaim and the predictor's alarms are noticed. At equal instants
+// the reclaim outranks an alarm (it is left for Ledger.Evict to settle)
+// and an alarm outranks the end of the phase. Every alarm is booked
+// when it fires, but only an interruptible wait — a work interval
+// under a policy that acts on alarms — ends on one: a process
+// mid-transfer or mid-backoff has nothing new to save, and it cannot
+// tell true alarms from false ones (that is what precision costs).
+func (s *session) wait(dur float64, interruptible bool) ending {
+	until := s.now + dur
+	for s.alarmIdx < len(s.alarms) {
+		ev := s.alarms[s.alarmIdx]
+		if ev.At > until || ev.At >= s.reclaimAt {
+			break
+		}
+		s.alarmIdx++
+		if s.Alarm(s.cfg.Tracer, s.pid, 2, s.start+ev.At, ev) {
+			s.predTrue = true
+		}
+		if interruptible && s.cfg.Policy != predict.PolicyReactive {
+			s.now = ev.At
+			return alarmed
+		}
+	}
+	if s.reclaimAt <= until {
+		s.now = s.reclaimAt
+		return evicted
+	}
+	s.now = until
+	return ran
+}
+
+// stamp is the current instant on the campaign's virtual axis.
+func (s *session) stamp() float64 { return s.start + s.now }
+
+// transfer moves one image over the link — the recovery image, or the
+// checkpoint of pendingWork — and times it: measuredC is what the next
+// interval is planned with. Over a ChaosLink an attempt may tear
+// partway; torn attempts are retried after exponential backoff, up to
+// the link's MaxAttempts, after which the transfer is abandoned and the
+// last attempt's untorn duration, estimated from its observed
+// throughput, is the process's best remaining measure of the cost. An
+// eviction bills the fraction of the attempt that crossed the wire and
+// loses the pending work with the machine.
+func (s *session) transfer(name string, checkpoint bool) ending {
+	tr := s.cfg.Tracer
+	for attempt := 1; ; attempt++ {
+		t0 := s.now
+		// Checkpoints over an established base ship only the chunks
+		// dirtied since the last commit. Retries recompute the same size
+		// (pendingWork is untouched during backoff).
+		xfer, mb := s.bytes, s.cfg.CheckpointMB
+		if checkpoint && s.cfg.Delta.Enabled && s.hasBase {
+			xfer = s.deltaWire(s.pendingWork)
 			mb = float64(xfer) / ckptnet.MB
-			isDelta = xfer < bytes
 		}
 		// A clean link is one draw from the transfer-time model: an
 		// attempt that never tears.
 		var a ckptnet.TransferAttempt
-		if chaos == nil {
-			a.Sec = cfg.Link.TransferTime(xfer, rng)
+		if s.chaos == nil {
+			a.Sec = s.cfg.Link.TransferTime(xfer, s.rng)
 			a.FullSec = a.Sec
 		} else {
-			a = chaos.Attempt(xfer, rng)
+			a = s.chaos.Attempt(xfer, s.rng)
 		}
-		ph, phaseT0, phaseDur, phaseMB = kind, t0, a.FullSec, mb
-		if !a.Torn {
-			pending = clock.Schedule(a.Sec, func() {
-				s.TransferSec += a.Sec
-				s.MBMoved += mb
-				cfg.wire.Add(abs(clock.Now()), xfer)
-				tr.SpanAt(pid, 1, transferName(kind), abs(t0), a.Sec,
-					obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", mb))
-				if isDelta {
-					s.DeltaCheckpoints++
-				}
-				if predictor != nil {
-					_ = predictor.Observe(xfer, a.Sec) // sized and timed here, so never invalid
-				}
-				onDone(a.Sec)
-			})
-			return
-		}
-		pending = clock.Schedule(a.Sec, func() {
-			s.Torn++
-			s.TransferSec += a.Sec
-			if a.FullSec > 0 {
-				s.MBMoved += mb * a.Sec / a.FullSec
-				cfg.wire.Add(abs(clock.Now()), int64(float64(xfer)*a.Sec/a.FullSec+0.5))
-			}
-			tr.SpanAt(pid, 1, transferName(kind), abs(t0), a.Sec,
-				obs.AttrStr("outcome", "torn"), obs.AttrInt("attempt", int64(attempt)))
-			tr.EventAt(pid, 1, "torn_frame", abs(clock.Now()),
-				obs.AttrInt("attempt", int64(attempt)))
-			if attempt >= chaos.MaxAttempts() {
-				onFail(a.FullSec)
-				return
-			}
-			s.Retries++
-			bo := chaos.BackoffSec(attempt, rng)
-			s.BackoffSec += bo
-			tr.EventAt(pid, 1, "retry", abs(clock.Now()),
-				obs.AttrInt("attempt", int64(attempt)), obs.AttrFloat("backoff_s", bo))
-			ph, phaseT0, phaseDur = phaseBackoff, clock.Now(), bo
-			pending = clock.Schedule(bo, func() {
-				doTransfer(kind, attempt+1, onDone, onFail)
-			})
-		})
-	}
-
-	beginWork = func() {
-		age := ageNow()
-		planC := planningC()
-		degraded := false
-		if chaos != nil && chaos.Unreachable(rng) {
-			// Manager unreachable: degrade to the last assigned
-			// schedule rather than abort; a process that never got one
-			// falls back to the conservative exponential interval.
-			if topt <= 0 {
-				topt = conservativeTopt(fits, cfg.HeartbeatSec, planC, age)
-			}
-			s.Fallbacks++
-			degraded = true
-			tr.EventAt(pid, 1, "fallback", abs(clock.Now()),
-				obs.AttrStr("cause", "unreachable"), obs.AttrFloat("t_opt", topt))
-		} else {
-			costs := markov.Costs{C: planC, R: planC, L: planC}
-			m := markov.Model{Avail: d, Costs: costs}
-			if cfg.Delta.VariableCost {
-				// Schedule against the interval-dependent delta cost
-				// C(T): a longer interval dirties more chunks and ships
-				// more bytes. A nil curve (no bandwidth anchor yet)
-				// falls back to the constant measured cost.
-				m.CostFn = forecast.CostModel{
-					FullBytes: bytes,
-					DirtyRate: cfg.Delta.DirtyRate,
-				}.Curve(bandwidthEst())
-			}
-			var err error
-			topt, _, err = m.Topt(age, markov.OptimizeOptions{})
-			if err != nil {
-				// No feasible interval under the planned cost (the model
-				// believes restart cannot complete): fall back to a
-				// minimal interval so the process keeps making progress.
-				topt = planC
-			}
-		}
-		s.Intervals++
-		tr.EventAt(pid, 1, "topt", abs(clock.Now()),
-			obs.AttrFloat("t_opt", topt),
-			obs.AttrFloat("age", age),
-			obs.AttrFloat("measured_c", planC),
-			obs.AttrBool("fallback", degraded))
-		ph, phaseT0, phaseDur = phaseWorking, clock.Now(), topt
-		pending = clock.Schedule(topt, beginCheckpoint)
-	}
-
-	// shipCheckpoint sends the pending work's image — as the scheduled
-	// checkpoint that ends an interval or, with alarmed set, as the
-	// alarm-triggered one (a migration when migrating is set).
-	shipCheckpoint := func(alarmed bool) {
-		doTransfer(phaseCheckpointing, 1, func(sec float64) {
-			// Committed — including any work a previously abandoned
-			// checkpoint left uncommitted.
-			s.CommittedWork += pendingWork
-			pendingWork = 0
-			s.MeasuredCs = append(s.MeasuredCs, sec)
-			measuredC = sec
-			if migrating {
-				// The image is at the destination: the process leaves
-				// the doomed machine and the session ends here.
-				migrating = false
-				s.AddMigration(cfg.CheckpointMB)
-				s.Migrated = true
-				s.SessionSec = clock.Now()
-				return
-			}
-			if alarmed {
-				s.ProactiveCheckpoints++
-			}
-			s.Checkpoints++
-			beginWork()
-		}, func(est float64) {
-			// Abandoned after bounded retries: the process stays put
-			// and keeps computing on the degraded schedule; the work
-			// stays pending until the next checkpoint goes through.
-			migrating = false
-			if est > 0 {
-				measuredC = est
-			}
-			s.Fallbacks++
-			tr.EventAt(pid, 1, "fallback", abs(clock.Now()),
-				obs.AttrStr("cause", "retries-exhausted"))
-			beginWork()
-		})
-	}
-
-	beginCheckpoint = func() {
-		// Work interval finished; heartbeats were sent every
-		// HeartbeatSec during it. The interval's work stays pending
-		// until a checkpoint transfer commits it.
-		s.Heartbeats += int(phaseDur / cfg.HeartbeatSec)
-		pendingWork += topt
-		shipCheckpoint(false)
-	}
-
-	// Schedule the eviction before any session event so that, at equal
-	// timestamps, the owner's reclaim outranks session activity (FIFO
-	// tie-break) — the same precedence the pool gives it.
-	clock.Schedule(sessionLen, func() {
-		if pending != nil {
-			pending.Cancel()
-		}
-		at := clock.Now()
-		elapsed := at - phaseT0
-		switch ph {
-		case phaseRecovering, phaseCheckpointing:
+		if s.wait(a.Sec, false) == evicted {
+			elapsed := s.now - t0
 			s.TransferSec += elapsed
-			if phaseDur > 0 {
+			if a.FullSec > 0 {
 				// Prorate what was in flight: for a delta that is its
 				// dirty chunks, not the whole image.
-				s.MBMoved += phaseMB * elapsed / phaseDur
-				cfg.wire.Add(abs(at), int64(phaseMB*ckptnet.MB*elapsed/phaseDur+0.5))
+				s.MBMoved += mb * elapsed / a.FullSec
+				s.cfg.wire.Add(s.stamp(), int64(mb*ckptnet.MB*elapsed/a.FullSec+0.5))
 			}
-			if ph == phaseCheckpointing {
-				s.LostWork += pendingWork
+			s.LostWork += s.pendingWork
+			return evicted
+		}
+		s.TransferSec += a.Sec
+		if !a.Torn {
+			s.MBMoved += mb
+			s.cfg.wire.Add(s.stamp(), xfer)
+			tr.SpanAt(s.pid, 1, name, s.start+t0, a.Sec,
+				obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", mb))
+			if xfer < s.bytes {
+				s.DeltaCheckpoints++
+			} else if !s.hasBase {
+				// The first full image to land at the manager — fetched by
+				// the recovery or, if that was abandoned, shipped by a
+				// checkpoint — is the base later deltas are cut against.
+				s.hasBase, s.fullSec = true, a.Sec
 			}
-		case phaseWorking:
-			s.LostWork += pendingWork + elapsed
-			s.Heartbeats += int(elapsed / cfg.HeartbeatSec)
-		case phaseBackoff:
-			// Evicted while waiting to retry a transfer: any
-			// uncommitted work is lost with the machine.
-			s.LostWork += pendingWork
+			if s.forecast != nil {
+				_ = s.forecast.Observe(xfer, a.Sec) // sized and timed here, so never invalid
+			}
+			s.MeasuredCs = append(s.MeasuredCs, a.Sec)
+			s.measuredC = a.Sec
+			return ran
 		}
-		s.SessionSec = at
-		evicted = true
-		tr.EventAt(pid, 1, "evicted", abs(at))
-		// Settle the predictor's books: alarms due at the eviction
-		// instant itself still fired, and the reclaim is a hit or a
-		// miss depending on whether a true alarm preceded it.
-		if pred != nil {
-			s.Evict(tr, pid, 2, al.start, abs(at), alarms[alarmIdx:], predTrue)
+		s.Torn++
+		if a.FullSec > 0 {
+			s.MBMoved += mb * a.Sec / a.FullSec
+			s.cfg.wire.Add(s.stamp(), int64(float64(xfer)*a.Sec/a.FullSec+0.5))
 		}
-	})
+		tr.SpanAt(s.pid, 1, name, s.start+t0, a.Sec,
+			obs.AttrStr("outcome", "torn"), obs.AttrInt("attempt", int64(attempt)))
+		tr.EventAt(s.pid, 1, "torn_frame", s.stamp(),
+			obs.AttrInt("attempt", int64(attempt)))
+		if attempt >= s.chaos.MaxAttempts() {
+			if a.FullSec > 0 {
+				s.measuredC = a.FullSec
+			}
+			return abandoned
+		}
+		s.Retries++
+		bo := s.chaos.BackoffSec(attempt, s.rng)
+		s.BackoffSec += bo
+		tr.EventAt(s.pid, 1, "retry", s.stamp(),
+			obs.AttrInt("attempt", int64(attempt)), obs.AttrFloat("backoff_s", bo))
+		if s.wait(bo, false) == evicted {
+			// Evicted while waiting to retry: any uncommitted work is
+			// lost with the machine.
+			s.LostWork += s.pendingWork
+			return evicted
+		}
+	}
+}
 
-	// Predictor alarms fire as session events; scheduling them after
-	// the eviction hook keeps the owner's reclaim first at equal
-	// timestamps. An alarm only interrupts a work interval — a process
-	// mid-transfer or mid-backoff has nothing new to save — and the
-	// process cannot tell true alarms from false ones (that is what
-	// precision costs).
-	onAlarm := func(ev predict.Event) {
-		alarmIdx++
-		if s.Alarm(tr, pid, 2, abs(ev.At), ev) {
-			predTrue = true
-		}
-		if cfg.Policy == predict.PolicyReactive || ph != phaseWorking {
-			return
-		}
-		elapsed := clock.Now() - phaseT0
-		s.Heartbeats += int(elapsed / cfg.HeartbeatSec)
-		pendingWork += elapsed
-		if pending != nil {
-			pending.Cancel()
-		}
-		migrating = cfg.Policy == predict.PolicyMigrate
-		shipCheckpoint(true)
-	}
-	for _, ev := range alarms {
-		clock.Schedule(ev.At, func() { onAlarm(ev) })
-	}
+// deltaWire is the expected bytes-on-wire for a checkpoint taken after
+// workSec seconds of uncommitted work, rounded to whole chunks (at
+// least one: the manifest always moves something). It is a
+// deterministic function of the uncommitted-work window, so the delta
+// path draws exactly the same RNG sequence as the full path.
+func (s *session) deltaWire(workSec float64) int64 {
+	numChunks := (s.bytes + chunkBytes - 1) / chunkBytes
+	f := -math.Expm1(-s.cfg.Delta.DirtyRate * workSec)
+	dirty := max(int64(math.Round(float64(numChunks)*f)), 1)
+	return min(dirty*chunkBytes, s.bytes)
+}
 
-	// Initial recovery transfer, timed by the process.
-	doTransfer(phaseRecovering, 1, func(sec float64) {
-		measuredC = sec
-		fullSec = sec
-		hasBase = true // the manager holds the full image we just fetched
-		s.MeasuredCs = append(s.MeasuredCs, sec)
-		beginWork()
-	}, func(est float64) {
-		// Recovery abandoned after bounded retries: start computing
-		// from scratch, estimating the transfer cost from the torn
-		// attempts' observed throughput.
-		measuredC = est
-		beginWork()
-	})
+// planningC is the transfer cost the next interval is planned with: the
+// shared forecast when one is running, else the last measurement.
+func (s *session) planningC() float64 {
+	if s.forecast != nil {
+		if sec, err := s.forecast.PredictTransferSec(s.bytes); err == nil {
+			return sec
+		}
+	}
+	return s.measuredC
+}
 
-	for !evicted && !s.Migrated && clock.Step() {
+// bandwidthEst anchors the variable-cost curve: the shared forecast
+// when one is running, else the session's own full-image measurement
+// (delta transfer times are the wrong anchor — their size varies with
+// the interval, which is the very thing the curve models).
+func (s *session) bandwidthEst() float64 {
+	if s.forecast != nil {
+		if bw, err := s.forecast.Bandwidth(); err == nil {
+			return bw
+		}
 	}
-	if !evicted && !s.Migrated {
-		return Sample{}, fmt.Errorf("live: sample %d (%v): session ran out of events before eviction", idx, model)
+	if s.fullSec > 0 {
+		return float64(s.bytes) / s.fullSec
 	}
-	if pred != nil {
-		s.Flush()
+	return 0
+}
+
+// decide sets topt for the next work interval from the planning cost
+// and the hosting resource's age — phases are contiguous in virtual
+// time (including retry backoff), so that is always the allocation age
+// plus the session's elapsed time.
+func (s *session) decide() {
+	age := s.TElapsed + s.now
+	planC := s.planningC()
+	degraded := false
+	if s.chaos != nil && s.chaos.Unreachable(s.rng) {
+		// Manager unreachable: degrade to the last assigned schedule
+		// rather than abort; a process that never got one falls back to
+		// the conservative exponential interval.
+		if s.topt <= 0 {
+			s.topt = conservativeTopt(s.fits, s.cfg.HeartbeatSec, planC, age)
+		}
+		s.Fallbacks++
+		degraded = true
+		s.cfg.Tracer.EventAt(s.pid, 1, "fallback", s.stamp(),
+			obs.AttrStr("cause", "unreachable"), obs.AttrFloat("t_opt", s.topt))
+	} else {
+		m := markov.Model{Avail: s.avail, Costs: markov.Costs{C: planC, R: planC, L: planC}}
+		if s.cfg.Delta.VariableCost {
+			// Schedule against the interval-dependent delta cost C(T): a
+			// longer interval dirties more chunks and ships more bytes. A
+			// nil curve (no bandwidth anchor yet) falls back to the
+			// constant measured cost.
+			m.CostFn = forecast.CostModel{
+				FullBytes: s.bytes,
+				DirtyRate: s.cfg.Delta.DirtyRate,
+			}.Curve(s.bandwidthEst())
+		}
+		var err error
+		if s.topt, _, err = m.Topt(age, markov.OptimizeOptions{}); err != nil {
+			// No feasible interval under the planned cost (the model
+			// believes restart cannot complete): fall back to a minimal
+			// interval so the process keeps making progress.
+			s.topt = planC
+		}
 	}
-	tr.SpanAt(pid, 1, "session", abs(0), s.SessionSec,
-		obs.AttrStr("model", model.String()),
-		obs.AttrStr("machine", s.Machine),
-		obs.AttrFloat("t_elapsed", s.TElapsed),
-		obs.AttrFloat("t_opt", topt),
-		obs.AttrFloat("efficiency", s.Efficiency()),
-		obs.AttrBool("migrated", s.Migrated),
-		obs.AttrInt("intervals", int64(s.Intervals)))
-	return s, nil
+	s.Intervals++
+	s.cfg.Tracer.EventAt(s.pid, 1, "topt", s.stamp(),
+		obs.AttrFloat("t_opt", s.topt),
+		obs.AttrFloat("age", age),
+		obs.AttrFloat("measured_c", planC),
+		obs.AttrBool("fallback", degraded))
 }
 
 // conservativeTopt is the degraded-mode interval for a process with no

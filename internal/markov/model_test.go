@@ -231,19 +231,34 @@ func TestToptGrowsWithAgeForHeavyTail(t *testing.T) {
 }
 
 func TestToptYoungApproximation(t *testing.T) {
-	// For C much smaller than the MTBF and exponential failures, the
-	// classical first-order optimum is sqrt(2·C·MTBF). The full model
-	// (failures during C and R allowed) must land in its vicinity.
-	mtbf := 100000.0
-	c := 10.0
-	m := Model{Avail: dist.NewExponential(1 / mtbf), Costs: mustCosts(t, c, c, c)}
-	T, _, err := m.Topt(0, OptimizeOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// For exponential failures with mean M the classical first-order
+	// optimum is Young's √(2CM); Daly's higher-order estimate,
+	// √(2CM)·[1 + ⅓√(C/2M) + ⅑(C/2M)] − C, is an independent derivation
+	// that stays accurate as C grows towards M. The full model must
+	// agree with it within 0.1 % wherever C ≤ M/10 (the worst cell,
+	// C = M/10, is at 0.04 %; Young's own error there is 17 %) and
+	// within 1 % at C = M/2, where Daly's series has visibly run out of
+	// terms (0.55 %).
+	check := func(mtbf, c, tol float64) {
+		m := Model{Avail: dist.NewExponential(1 / mtbf), Costs: mustCosts(t, c, c, c)}
+		T, _, err := m.Topt(0, OptimizeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := c / (2 * mtbf)
+		daly := math.Sqrt(2*c*mtbf)*(1+math.Sqrt(x)/3+x/9) - c
+		if math.Abs(T-daly) > tol*daly {
+			t.Errorf("M = %g, C = %g: T_opt = %g, Daly's optimum %g (off by %.3f %%, want within %g %%)",
+				mtbf, c, T, daly, 100*(T-daly)/daly, 100*tol)
+		}
 	}
-	young := math.Sqrt(2 * c * mtbf)
-	if T < 0.7*young || T > 1.4*young {
-		t.Errorf("T_opt = %g, Young approximation %g", T, young)
+	for _, mtbf := range []float64{1e3, 1e4, 1e5, 1e6} {
+		for _, c := range []float64{1, 10, 100, 500} {
+			if c <= mtbf/10 {
+				check(mtbf, c, 0.001)
+			}
+		}
+		check(mtbf, mtbf/2, 0.01)
 	}
 }
 

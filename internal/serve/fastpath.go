@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -288,42 +287,44 @@ func appendIntervalBody(b []byte, T float64, idx int, extended bool) []byte {
 	return append(b, '\n')
 }
 
-// parseFastRequest destructures "GET /v1/schedule/<key>/interval?age=<v> HTTP/1.1\r\n"
-// in place. The returned key aliases the read buffer and is only valid
-// until the next ReadSlice — the caller copies it out before consuming
-// headers; storeGet then looks it up without a heap allocation.
+// parseFastRequest destructures "GET /v1/schedule/<key>/interval[?query] HTTP/1.x\r\n"
+// in place. It accepts what net/http would hand to the interval handler
+// and reads the same key and age out of it (intervalKey, ageFromQuery),
+// with one exception it refuses instead of answering differently: a
+// percent-escape in the path, which net/http would decode. The returned
+// key aliases the read buffer and is only valid until the next
+// ReadSlice — the caller copies it out before consuming headers;
+// storeGet then looks it up without a heap allocation.
 func parseFastRequest(line []byte) (key []byte, age float64, ok bool) {
-	const pre = "GET /v1/schedule/"
-	if len(line) < len(pre) || string(line[:len(pre)]) != pre {
+	const method, version = "GET ", " HTTP/1." // then one digit and the line end
+	n := len(line) - 1                         // the '\n' ReadSlice stopped at
+	if n > 0 && line[n-1] == '\r' {
+		n--
+	}
+	v := n - len(version) - 1
+	if v < len(method) || string(line[:len(method)]) != method ||
+		string(line[v:n-1]) != version || line[n-1] < '0' || line[n-1] > '9' {
 		return nil, 0, false
 	}
-	rest := line[len(pre):]
-	slash := bytes.IndexByte(rest, '/')
-	if slash <= 0 {
+	path, query, _ := bytes.Cut(line[len(method):v], []byte("?"))
+	if key, ok = intervalKey(path); !ok {
 		return nil, 0, false
 	}
-	key = rest[:slash]
-	rest = rest[slash:]
-	const route = "/interval"
-	if len(rest) < len(route) || string(rest[:len(route)]) != route {
-		return nil, 0, false
-	}
-	rest = rest[len(route):]
-	sp := bytes.IndexByte(rest, ' ')
-	if sp < 0 {
-		return nil, 0, false
-	}
-	switch {
-	case sp == 0: // bare /interval — a fresh resource
-		return key, 0, true
-	case sp > len("?age=") && string(rest[:len("?age=")]) == "?age=":
-		v, err := strconv.ParseFloat(string(rest[len("?age="):sp]), 64)
-		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+	// net/http splits the request line at its spaces and refuses control
+	// bytes anywhere in the target. The route's fixed text has matched,
+	// so only the key and the query can hold any.
+	for _, b := range key {
+		if b <= ' ' || b == 0x7f || b == '%' {
 			return nil, 0, false
 		}
-		return key, v, true
 	}
-	return nil, 0, false
+	for _, b := range query {
+		if b <= ' ' || b == 0x7f {
+			return nil, 0, false
+		}
+	}
+	age, ok = ageFromQuery(query)
+	return key, age, ok
 }
 
 // skipHeaders consumes header lines through the blank terminator (a

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -269,6 +270,14 @@ func TestIntervalPlanesAgree(t *testing.T) {
 		{"installed key, fresh resource", "/v1/schedule/m2/interval", http.StatusOK},
 		{"unknown key", "/v1/schedule/nobody/interval?age=5", http.StatusNotFound},
 		{"failed-build key", "/v1/schedule/broken/interval?age=5", http.StatusUnprocessableEntity},
+		// Both planes read the query through ageFromQuery: the first age
+		// pair, wherever it stands, and 0 without one.
+		{"age, then another pair", "/v1/schedule/m1/interval?age=5&x=1", http.StatusOK},
+		{"another pair, no age", "/v1/schedule/m1/interval?x=1", http.StatusOK},
+		{"another pair, then age", "/v1/schedule/m1/interval?x=1&age=5", http.StatusOK},
+		{"age twice", "/v1/schedule/m1/interval?age=5&age=7", http.StatusOK},
+		{"empty query", "/v1/schedule/m1/interval?", http.StatusOK},
+		{"bad age behind another pair", "/v1/schedule/m1/interval?x=1&age=-5", http.StatusBadRequest},
 	} {
 		var codes [2]int
 		var bodies [2]string
@@ -301,4 +310,65 @@ func TestIntervalPlanesAgree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("lookupInterval over a byte key allocates %.0f times per call, want 0", n)
 	}
+	line := []byte("GET /v1/schedule/m1/interval?x=1&age=137.5 HTTP/1.1\r\n")
+	if n := testing.AllocsPerRun(200, func() {
+		if k, age, ok := parseFastRequest(line); !ok || string(k) != "m1" || age != 137.5 {
+			t.Errorf("parse = %q, %g, %v", k, age, ok)
+		}
+	}); n != 0 {
+		t.Errorf("parseFastRequest allocates %.0f times per call, want 0", n)
+	}
+}
+
+// FuzzFastRequest holds the fast listener's request parser to net/http's
+// reading of the same line: http.ReadRequest for the request line, then
+// intervalKey and ageFromQuery as ServeHTTP applies them. Whatever the
+// fast plane accepts, net/http routes to the interval handler with the
+// same key and the same age; whatever net/http would serve there, the
+// fast plane accepts — unless the path carries a percent-escape, the
+// one spelling the fast plane refuses rather than decode.
+func FuzzFastRequest(f *testing.F) {
+	for _, seed := range []string{
+		"GET /v1/schedule/m1/interval?age=137.5 HTTP/1.1\r\n",
+		"GET /v1/schedule/m1/interval HTTP/1.0\n",
+		"GET /v1/schedule/m1/interval?x=1&age=5&age=7 HTTP/1.1\r\n",
+		"GET /v1/schedule/m1/interval? HTTP/1.1\r\n",
+		"GET /v1/schedule/m%31/interval?age=5%25 HTTP/1.1\r\n",
+		"GET /v1/schedule/a?b/interval HTTP/1.1\r\n",
+		"GET /v1/schedule/a/b/interval HTTP/1.1\r\n",
+		"GET /v1/schedule//interval HTTP/1.1\r\n",
+		"GET /v1/schedule/m1/interval?age=nan HTTP/1.1\r\n",
+		"GET /v1/schedule/m1/interval HTTP/1.1 \r\n",
+		"GET /v1/schedule/m1/interval  HTTP/1.1\r\r\n",
+		"GET /v1/schedule/m\x7f/interval HTTP/2.0\r\n",
+		"POST /v1/schedule/m1/interval HTTP/1.1\r\n",
+		"GET /v1/schedule/m1 HTTP/1.1\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The listener hands the parser one line, through its newline.
+		line, _, _ := bytes.Cut(data, []byte("\n"))
+		line = append(line[:len(line):len(line)], '\n')
+		key, age, ok := parseFastRequest(line)
+
+		var wantOK bool
+		var wantKey string
+		var wantAge float64
+		req, err := http.ReadRequest(bufio.NewReader(io.MultiReader(bytes.NewReader(line), strings.NewReader("Host: f\r\n\r\n"))))
+		if err == nil && req.Method == http.MethodGet && req.ProtoMajor == 1 {
+			if wantKey, wantOK = intervalKey(req.URL.Path); wantOK {
+				wantAge, wantOK = ageFromQuery(req.URL.RawQuery)
+			}
+			if rawPath, _, _ := strings.Cut(req.RequestURI, "?"); strings.Contains(rawPath, "%") {
+				wantOK = false
+			}
+		}
+		if ok != wantOK {
+			t.Fatalf("%q: fast plane accepts = %v, net/http = %v (err %v)", line, ok, wantOK, err)
+		}
+		if ok && (string(key) != wantKey || age != wantAge) {
+			t.Fatalf("%q: fast plane reads key %q age %g, net/http key %q age %g", line, key, age, wantKey, wantAge)
+		}
+	})
 }

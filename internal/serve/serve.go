@@ -193,18 +193,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.m.inflight.Add(1)
 	defer s.m.inflight.Add(-1)
 	path := r.URL.Path
-	if strings.HasPrefix(path, "/v1/schedule/") {
-		rest := path[len("/v1/schedule/"):]
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			if rest[i+1:] == "interval" && i > 0 {
-				s.handleInterval(w, r, rest[:i])
-				return
-			}
-		} else if rest != "" {
-			s.handleGetSchedule(w, r, rest)
-			return
+	if key, ok := intervalKey(path); ok {
+		s.handleInterval(w, r, key)
+		return
+	}
+	if key, ok := strings.CutPrefix(path, "/v1/schedule/"); ok {
+		if key != "" && !strings.Contains(key, "/") {
+			s.handleGetSchedule(w, r, key)
+		} else {
+			s.errorf(w, http.StatusNotFound, "no such route")
 		}
-		s.errorf(w, http.StatusNotFound, "no such route")
 		return
 	}
 	switch path {
@@ -602,24 +600,39 @@ func lookupInterval[K string | []byte](s *Server, key K, age float64, buf []byte
 	return http.StatusOK, appendIntervalBody(buf, T, idx, extended), nil
 }
 
-// ageFromQuery extracts the age parameter from a raw query string.
-// Absent age means 0 (a fresh resource); a malformed, negative, or
-// non-finite age is rejected.
-func ageFromQuery(q string) (float64, bool) {
-	for len(q) > 0 {
-		kv := q
-		if i := strings.IndexByte(q, '&'); i >= 0 {
-			kv, q = q[:i], q[i+1:]
-		} else {
-			q = ""
+// intervalKey returns the key of an interval-route path,
+// /v1/schedule/{key}/interval with a non-empty, slash-free key — the
+// route split of both listeners.
+func intervalKey[P string | []byte](path P) (key P, ok bool) {
+	const pre, suf = "/v1/schedule/", "/interval"
+	if len(path) <= len(pre)+len(suf) || string(path[:len(pre)]) != pre || string(path[len(path)-len(suf):]) != suf {
+		return key, false
+	}
+	key = path[len(pre) : len(path)-len(suf)]
+	for i := 0; i < len(key); i++ {
+		if key[i] == '/' {
+			return key, false
 		}
-		if strings.HasPrefix(kv, "age=") {
-			v, err := strconv.ParseFloat(kv[len("age="):], 64)
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return 0, false
-			}
-			return v, true
+	}
+	return key, true
+}
+
+// ageFromQuery extracts the age parameter from a raw query string —
+// the first "age=" pair, whatever else the query carries — for both
+// listeners (the fast path passes bytes of its read buffer). Absent age
+// means 0 (a fresh resource); a malformed, negative, or non-finite age
+// is rejected.
+func ageFromQuery[Q string | []byte](q Q) (float64, bool) {
+	for start := 0; start < len(q); {
+		end := start
+		for end < len(q) && q[end] != '&' {
+			end++
 		}
+		if kv := q[start:end]; len(kv) >= len("age=") && string(kv[:len("age=")]) == "age=" {
+			v, err := strconv.ParseFloat(string(kv[len("age="):]), 64)
+			return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
+		}
+		start = end + 1
 	}
 	return 0, true
 }
