@@ -536,21 +536,6 @@ func BenchmarkAblationLatency(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths -------------------------------
 
-func BenchmarkGammaEval(b *testing.B) {
-	for _, d := range []dist.Distribution{
-		dist.NewExponential(1.0 / 9000),
-		dist.NewWeibull(0.43, 3409),
-		dist.NewHyperexponential([]float64{0.5, 0.3, 0.2}, []float64{0.01, 0.001, 0.0001}),
-	} {
-		m := markov.Model{Avail: d, Costs: markov.Costs{C: 110, R: 110, L: 110}}
-		b.Run(d.Name(), func(b *testing.B) {
-			for b.Loop() {
-				_ = m.Gamma(1000, 700)
-			}
-		})
-	}
-}
-
 func BenchmarkTopt(b *testing.B) {
 	m := markov.Model{
 		Avail: dist.NewWeibull(0.43, 3409),

@@ -93,11 +93,9 @@ func run(path, machine string, train int, censored bool) error {
 }
 
 func runCensored(data []float64, flags []bool) error {
-	obs := make([]fit.Observation, len(data))
 	nc := 0
-	for i := range data {
-		obs[i] = fit.Observation{Value: data[i], Censored: flags[i]}
-		if flags[i] {
+	for _, c := range flags {
+		if c {
 			nc++
 		}
 	}
@@ -105,11 +103,11 @@ func runCensored(data []float64, flags []bool) error {
 		len(data), nc)
 	fmt.Printf("%-12s %-50s %14s\n", "model", "parameters", "censored logLik")
 	for _, m := range fit.Models {
-		d, err := fit.FitCensored(m, obs)
+		d, err := fit.FitCensored(m, data, flags)
 		if err != nil {
 			return fmt.Errorf("%v: %w", m, err)
 		}
-		fmt.Printf("%-12s %-50v %14.1f\n", m, d, fit.CensoredLogLikelihood(d, obs))
+		fmt.Printf("%-12s %-50v %14.1f\n", m, d, fit.CensoredLogLikelihood(d, data, flags))
 	}
 	km, err := stats.NewKaplanMeier(data, flags)
 	if err != nil {

@@ -65,15 +65,11 @@ func main() {
 
 	// Naive vs censoring-aware Weibull fits, and what they do to the
 	// schedule (C = R = 110 s, fresh resource).
-	obs := make([]fit.Observation, len(durations))
-	for i := range durations {
-		obs[i] = fit.Observation{Value: durations[i], Censored: flags[i]}
-	}
 	naive, err := fit.Weibull(durations)
 	if err != nil {
 		log.Fatal(err)
 	}
-	aware, err := fit.WeibullCensored(obs)
+	aware, err := fit.FitCensored(fit.ModelWeibull, durations, flags)
 	if err != nil {
 		log.Fatal(err)
 	}

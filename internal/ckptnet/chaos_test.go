@@ -461,7 +461,6 @@ func TestChaosLinkDeterminism(t *testing.T) {
 	}
 	// Backoff grows and stays within the jittered cap.
 	rng := rand.New(rand.NewSource(1))
-	prevBase := 0.0
 	for attempt := 1; attempt <= 6; attempt++ {
 		bo := cl.BackoffSec(attempt, rng)
 		if bo <= 0 {
@@ -470,6 +469,30 @@ func TestChaosLinkDeterminism(t *testing.T) {
 		if bo > 60*1.25+1e-9 {
 			t.Errorf("backoff %d = %g exceeds jittered cap", attempt, bo)
 		}
-		_ = prevBase
+	}
+}
+
+// TestRetryBackoffMatchesDurationDoubling pins the reconnect delays
+// computed through the shared float64 backoff to the time.Duration
+// doubling they are defined by, delay for delay and draw for draw,
+// for the default policy and for bases that do not divide the cap.
+func TestRetryBackoffMatchesDurationDoubling(t *testing.T) {
+	for _, pol := range []RetryPolicy{
+		{BackoffBase: 200 * time.Millisecond, BackoffMax: 10 * time.Second},
+		{BackoffBase: 5 * time.Millisecond, BackoffMax: 7 * time.Second},
+		{BackoffBase: 3*time.Second + 1, BackoffMax: time.Hour},
+	} {
+		got, want := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		for attempt := 1; attempt <= 40; attempt++ {
+			d := pol.BackoffBase
+			for i := 1; i < attempt && d < pol.BackoffMax; i++ {
+				d *= 2
+			}
+			d = min(d, pol.BackoffMax)
+			ref := time.Duration(float64(d) * (1 + retryJitter*(2*want.Float64()-1)))
+			if bo := time.Duration(backoff(float64(pol.BackoffBase), float64(pol.BackoffMax), retryJitter, attempt, got)); bo != ref {
+				t.Fatalf("%+v attempt %d: backoff %v, want %v", pol, attempt, bo, ref)
+			}
+		}
 	}
 }

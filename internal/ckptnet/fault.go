@@ -423,12 +423,5 @@ func (c ChaosLink) MaxAttempts() int {
 // BackoffSec returns the jittered exponential backoff before retry
 // attempt (1-based), in virtual seconds.
 func (c ChaosLink) BackoffSec(attempt int, rng *rand.Rand) float64 {
-	b := linkBackoffBaseSec
-	for i := 1; i < attempt && b < linkBackoffMaxSec; i++ {
-		b *= 2
-	}
-	if b > linkBackoffMaxSec {
-		b = linkBackoffMaxSec
-	}
-	return b * (1 + linkBackoffJitter*(2*rng.Float64()-1))
+	return backoff(linkBackoffBaseSec, linkBackoffMaxSec, linkBackoffJitter, attempt, rng)
 }

@@ -46,17 +46,21 @@ func (p *RetryPolicy) setDefaults() {
 	}
 }
 
-// backoff returns the jittered delay before retry attempt (1-based).
-func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
-	d := p.BackoffBase
-	for i := 1; i < attempt && d < p.BackoffMax; i++ {
-		d *= 2
+// backoff returns the delay before retry attempt (1-based): base
+// doubled once per earlier retry, capped at limit, then scaled by a
+// uniform draw in [1−jitter, 1+jitter]. It is unit-free: RetryPolicy
+// calls it in nanoseconds, ChaosLink in virtual seconds. Doubling a
+// float64 is exact, so a time.Duration base yields the bits that
+// doubling the integer would.
+func backoff(base, limit, jitter float64, attempt int, rng *rand.Rand) float64 {
+	b := base
+	for i := 1; i < attempt && b < limit; i++ {
+		b *= 2
 	}
-	if d > p.BackoffMax {
-		d = p.BackoffMax
+	if b > limit {
+		b = limit
 	}
-	jitter := 1 + retryJitter*(2*rng.Float64()-1)
-	return time.Duration(float64(d) * jitter)
+	return b * (1 + jitter*(2*rng.Float64()-1))
 }
 
 // maxCkptRetries bounds in-connection checkpoint retransmissions after
@@ -213,11 +217,12 @@ func RunProcess(ctx context.Context, cfg ProcessConfig) (*ProcessReport, error) 
 			return rep, fmt.Errorf("ckptnet: session failed after %d attempts: %w", attempt+1, err)
 		}
 		rep.Retries++
+		wait := backoff(float64(pol.BackoffBase), float64(pol.BackoffMax), retryJitter, attempt+1, rng)
 		select {
 		case <-ctx.Done():
 			rep.Evicted = true
 			return rep, nil
-		case <-time.After(pol.backoff(attempt+1, rng)):
+		case <-time.After(time.Duration(wait)):
 		}
 	}
 }

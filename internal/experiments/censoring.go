@@ -236,13 +236,9 @@ func fitWithStrategy(fits *fit.Cache, machine string, s CensoringStrategy, m fit
 	case CensorNaive:
 		return fits.Fit(key, m, durs)
 	case CensorAware:
-		// Censoring-aware estimation has its own entry point and stays
-		// outside the cache (Cache memoizes the exact-lifetime Fit).
-		obs := make([]fit.Observation, len(durs))
-		for i := range durs {
-			obs[i] = fit.Observation{Value: durs[i], Censored: flags[i]}
-		}
-		return fit.FitCensored(m, obs)
+		// Censoring-aware estimation stays outside the cache, which
+		// memoizes the exact-lifetime Fit.
+		return fit.FitCensored(m, durs, flags)
 	case CensorLongTrain:
 		return fits.Fit(key, m, trainLong)
 	}

@@ -4,6 +4,15 @@
 // likelihood for the Weibull, and expectation-maximization for k-phase
 // hyperexponentials.
 //
+// Every estimator takes its sample as durations plus an optional
+// parallel censored []bool: censored[i] records that the resource was
+// still available after data[i] seconds (the monitor was still running
+// when the measurement campaign ended — the paper's §5.3
+// right-censoring), so the true lifetime exceeds data[i]. A nil or
+// all-false censored is exact data, and one body per family serves
+// both: on exact data the censored terms vanish and the fit is bitwise
+// the classical estimator.
+//
 // The package stands in for the Matlab `mle` routine and the EMPht
 // phase-type fitting package used by the original study: for the
 // hyperexponential subclass of phase-type distributions, the EMPht EM
@@ -33,65 +42,118 @@ const DurationFloor = 1.0
 var ErrNoData = errors.New("fit: no observations")
 
 // clean copies data, clamping values below DurationFloor and dropping
-// non-finite entries. It returns an error if nothing usable remains.
-func clean(data []float64) ([]float64, error) {
-	out := make([]float64, 0, len(data))
-	for _, x := range data {
+// non-finite entries, and carries the censored flags (nil, or one per
+// datum) along with them: cens is nil exactly when censored is. events
+// counts the uncensored observations kept. It returns an error if
+// nothing usable remains or every observation is censored.
+func clean(data []float64, censored []bool) (xs []float64, cens []bool, events int, err error) {
+	if censored != nil && len(censored) != len(data) {
+		return nil, nil, 0, fmt.Errorf("fit: %d censored flags for %d observations", len(censored), len(data))
+	}
+	xs = make([]float64, 0, len(data))
+	if censored != nil {
+		cens = make([]bool, 0, len(data))
+	}
+	for i, x := range data {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			continue
 		}
 		if x < DurationFloor {
 			x = DurationFloor
 		}
-		out = append(out, x)
+		xs = append(xs, x)
+		if cens != nil {
+			cens = append(cens, censored[i])
+		}
+		if censored == nil || !censored[i] {
+			events++
+		}
 	}
-	if len(out) == 0 {
-		return nil, ErrNoData
+	if len(xs) == 0 {
+		return nil, nil, 0, ErrNoData
 	}
-	return out, nil
+	if events == 0 {
+		return nil, nil, 0, errors.New("fit: all observations censored; lifetimes unidentifiable")
+	}
+	return xs, cens, events, nil
 }
 
-// Exponential fits an exponential distribution by maximum likelihood:
-// λ̂ = 1 / sample mean.
+// checkEstimate returns an error unless every estimated parameter is
+// finite and positive. A history whose sums overflow float64 (durations
+// near 1e308) drives a closed-form estimate to 0 or +Inf, which the
+// dist constructors reject by panicking; this is where a fit says so
+// instead.
+func checkEstimate(family string, params ...float64) error {
+	for _, v := range params {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("fit: %s estimate %v is not finite and positive", family, params)
+		}
+	}
+	return nil
+}
+
+// Exponential fits an exponential distribution to exact data by
+// maximum likelihood: λ̂ = 1 / sample mean.
 func Exponential(data []float64) (dist.Exponential, error) {
-	xs, err := clean(data)
+	return exponential(data, nil)
+}
+
+// exponential is the exponential MLE with right censoring:
+// λ̂ = (#events) / Σ(all exposure times), computed as
+// 1 / (exposure / events) so that on exact data it is bitwise
+// 1 / sample mean.
+func exponential(data []float64, censored []bool) (dist.Exponential, error) {
+	xs, _, events, err := clean(data, censored)
 	if err != nil {
 		return dist.Exponential{}, err
 	}
-	mean := 0.0
+	exposure := 0.0
 	for _, x := range xs {
-		mean += x
+		exposure += x
 	}
-	mean /= float64(len(xs))
-	return dist.NewExponential(1 / mean), nil
+	lambda := 1 / (exposure / float64(events))
+	if err := checkEstimate("exponential", lambda); err != nil {
+		return dist.Exponential{}, err
+	}
+	return dist.NewExponential(lambda), nil
 }
 
-// Weibull fits a two-parameter Weibull distribution by maximum
-// likelihood. The shape α̂ solves the profile-likelihood equation
+// Weibull fits a two-parameter Weibull distribution to exact data by
+// maximum likelihood; see weibull for the estimator.
+func Weibull(data []float64) (dist.Weibull, error) {
+	return weibull(data, nil)
+}
+
+// weibull is the Weibull MLE with right censoring. With d uncensored
+// events, the shape α̂ solves the profile-likelihood equation
 //
-//	Σ xᵢ^α ln xᵢ / Σ xᵢ^α − 1/α − (1/n) Σ ln xᵢ = 0,
+//	Σ_all xᵢ^α ln xᵢ / Σ_all xᵢ^α − 1/α − (1/d) Σ_events ln xᵢ = 0,
 //
 // found by bracket expansion and bisection; the scale then follows in
-// closed form, β̂ = (Σ xᵢ^α̂ / n)^(1/α̂).
-func Weibull(data []float64) (dist.Weibull, error) {
-	xs, err := clean(data)
+// closed form, β̂ = (Σ_all xᵢ^α̂ / d)^(1/α̂). All observations contribute
+// exposure, only events contribute the log-mean term; on exact data
+// d = n and this is the classical estimator.
+func weibull(data []float64, censored []bool) (dist.Weibull, error) {
+	xs, cens, events, err := clean(data, censored)
 	if err != nil {
 		return dist.Weibull{}, err
 	}
-	n := float64(len(xs))
+	d := float64(events)
 	meanLog := 0.0
-	for _, x := range xs {
-		meanLog += math.Log(x)
-	}
-	meanLog /= n
-
+	xmax := xs[0]
 	allEqual := true
-	for _, x := range xs {
+	for j, x := range xs {
+		if cens == nil || !cens[j] {
+			meanLog += math.Log(x)
+		}
+		if x > xmax {
+			xmax = x
+		}
 		if x != xs[0] {
 			allEqual = false
-			break
 		}
 	}
+	meanLog /= d
 	if allEqual {
 		// Degenerate sample: the likelihood is unbounded in α. Return
 		// a sharply peaked but finite fit.
@@ -101,12 +163,6 @@ func Weibull(data []float64) (dist.Weibull, error) {
 	// Profile score in α. Computed with the max-rescaling trick so that
 	// x^α does not overflow for large α.
 	score := func(alpha float64) float64 {
-		xmax := xs[0]
-		for _, x := range xs {
-			if x > xmax {
-				xmax = x
-			}
-		}
 		var sw, swl float64 // Σ (x/xmax)^α, Σ (x/xmax)^α ln x
 		for _, x := range xs {
 			w := math.Pow(x/xmax, alpha)
@@ -115,22 +171,22 @@ func Weibull(data []float64) (dist.Weibull, error) {
 		}
 		return swl/sw - 1/alpha - meanLog
 	}
-
-	lo, hi := 1e-3, 1.0
-	lo2, hi2, err := mathx.ExpandBracket(score, lo, hi, 40)
+	lo, hi, err := mathx.ExpandBracket(score, 1e-3, 1.0, 40)
 	if err != nil {
 		return dist.Weibull{}, fmt.Errorf("fit: weibull shape bracket: %w", err)
 	}
-	alpha, err := mathx.Bisect(score, lo2, hi2, 1e-10)
+	alpha, err := mathx.Bisect(score, lo, hi, 1e-10)
 	if err != nil {
 		return dist.Weibull{}, fmt.Errorf("fit: weibull shape solve: %w", err)
 	}
-
 	sum := 0.0
 	for _, x := range xs {
 		sum += math.Pow(x, alpha)
 	}
-	beta := math.Pow(sum/n, 1/alpha)
+	beta := math.Pow(sum/d, 1/alpha)
+	if err := checkEstimate("weibull", alpha, beta); err != nil {
+		return dist.Weibull{}, err
+	}
 	return dist.NewWeibull(alpha, beta), nil
 }
 
@@ -140,7 +196,7 @@ func Weibull(data []float64) (dist.Weibull, error) {
 // families but is a standard comparator in the availability-modeling
 // literature and is exposed for model-selection studies.
 func LogNormal(data []float64) (dist.LogNormal, error) {
-	xs, err := clean(data)
+	xs, _, _, err := clean(data, nil)
 	if err != nil {
 		return dist.LogNormal{}, err
 	}
@@ -163,21 +219,32 @@ func LogNormal(data []float64) (dist.LogNormal, error) {
 	return dist.NewLogNormal(mu, sigma), nil
 }
 
-// LogLikelihood returns the log-likelihood of data under d. Values are
-// cleaned the same way the estimators clean them, so likelihoods of
-// fits to the same data are comparable.
+// LogLikelihood returns the log-likelihood of exact data under d.
+// Values are cleaned the same way the estimators clean them, so
+// likelihoods of fits to the same data are comparable.
 func LogLikelihood(d dist.Distribution, data []float64) float64 {
-	xs, err := clean(data)
+	return CensoredLogLikelihood(d, data, nil)
+}
+
+// CensoredLogLikelihood evaluates Σ_events ln f(x) + Σ_censored ln S(x)
+// under d, with censored as for FitCensored.
+func CensoredLogLikelihood(d dist.Distribution, data []float64, censored []bool) float64 {
+	xs, cens, _, err := clean(data, censored)
 	if err != nil {
 		return math.Inf(-1)
 	}
 	ll := 0.0
-	for _, x := range xs {
-		p := d.PDF(x)
-		if p <= 0 {
+	for j, x := range xs {
+		var v float64
+		if cens != nil && cens[j] {
+			v = d.Survival(x)
+		} else {
+			v = d.PDF(x)
+		}
+		if v <= 0 {
 			return math.Inf(-1)
 		}
-		ll += math.Log(p)
+		ll += math.Log(v)
 	}
 	return ll
 }
@@ -196,7 +263,7 @@ func BIC(logLik float64, params, n int) float64 {
 // KS returns the Kolmogorov-Smirnov distance between the empirical
 // distribution of data and model.
 func KS(model dist.Distribution, data []float64) float64 {
-	xs, err := clean(data)
+	xs, _, _, err := clean(data, nil)
 	if err != nil {
 		return math.NaN()
 	}
@@ -264,20 +331,30 @@ type EMResult struct {
 	Converg bool
 }
 
-// Hyperexp fits a k-phase hyperexponential to data by
-// expectation-maximization, seeded deterministically from the sample
-// quantile structure so that fits are reproducible.
+// Hyperexp fits a k-phase hyperexponential to exact data by
+// expectation-maximization; see hyperexp for the recursion.
+func Hyperexp(data []float64, k int, opts EMOptions) (EMResult, error) {
+	return hyperexp(data, nil, k, opts)
+}
+
+// hyperexp fits a k-phase hyperexponential by EM with right censoring,
+// seeded deterministically from the sample quantile structure so that
+// fits are reproducible.
 //
-// E step: responsibilities γᵢⱼ = pᵢλᵢe^(-λᵢxⱼ) / Σₘ pₘλₘe^(-λₘxⱼ).
-// M step: pᵢ = mean over j of γᵢⱼ; λᵢ = Σⱼγᵢⱼ / Σⱼγᵢⱼxⱼ.
+// E step: responsibilities γᵢⱼ ∝ pᵢλᵢe^(-λᵢxⱼ) (density) for an event,
+// γᵢⱼ ∝ pᵢe^(-λᵢxⱼ) (per-phase survival) for a censored observation.
+// M step: pᵢ = mean over j of γᵢⱼ; λᵢ = Σⱼγᵢⱼ / Σⱼγᵢⱼℓᵢⱼ, where the
+// lifetime ℓᵢⱼ is xⱼ for an event and xⱼ + 1/λᵢ for a censored
+// observation (its expected total lifetime within phase i, by
+// memorylessness).
 //
 // Every iteration provably does not decrease the likelihood; the test
 // suite checks this invariant directly.
-func Hyperexp(data []float64, k int, opts EMOptions) (EMResult, error) {
+func hyperexp(data []float64, censored []bool, k int, opts EMOptions) (EMResult, error) {
 	if k < 1 {
 		return EMResult{}, fmt.Errorf("fit: hyperexponential needs k >= 1, got %d", k)
 	}
-	xs, err := clean(data)
+	xs, cens, _, err := clean(data, censored)
 	if err != nil {
 		return EMResult{}, err
 	}
@@ -302,10 +379,8 @@ func Hyperexp(data []float64, k int, opts EMOptions) (EMResult, error) {
 	// slightly separated when groups tie; uniform weights.
 	p := make([]float64, k)
 	lam := make([]float64, k)
-	groupMeans := quantileGroups(sorted, k)
-	for i := range k {
+	for i, m := range quantileGroups(sorted, k) {
 		p[i] = 1 / float64(k)
-		m := groupMeans[i]
 		if m <= 0 {
 			m = DurationFloor
 		}
@@ -326,9 +401,7 @@ func Hyperexp(data []float64, k int, opts EMOptions) (EMResult, error) {
 	// Responsibility matrix, one contiguous row-major k×n slice:
 	// gamma[i*n+j] is phase i's responsibility for observation j. The
 	// M step walks each row sequentially, so one backing array keeps
-	// the EM inner loops on consecutive cache lines; the loop order is
-	// unchanged from the [][]float64 version, so fits are bitwise
-	// identical.
+	// the EM inner loops on consecutive cache lines.
 	gamma := make([]float64, k*n)
 	prevLL := math.Inf(-1)
 	iters := 0
@@ -338,9 +411,15 @@ func Hyperexp(data []float64, k int, opts EMOptions) (EMResult, error) {
 		// E step + log-likelihood in one pass.
 		ll := 0.0
 		for j, x := range xs {
+			censored := cens != nil && cens[j]
 			den := 0.0
 			for i := range k {
-				g := p[i] * lam[i] * math.Exp(-lam[i]*x)
+				var g float64
+				if censored {
+					g = p[i] * math.Exp(-lam[i]*x) // survival
+				} else {
+					g = p[i] * lam[i] * math.Exp(-lam[i]*x) // density
+				}
 				gamma[i*n+j] = g
 				den += g
 			}
@@ -371,6 +450,9 @@ func Hyperexp(data []float64, k int, opts EMOptions) (EMResult, error) {
 			row := gamma[i*n : (i+1)*n]
 			for j, x := range xs {
 				sg += row[j]
+				if cens != nil && cens[j] {
+					x += 1 / lam[i] // expected residual within phase i
+				}
 				sgx += row[j] * x
 			}
 			p[i] = math.Max(sg/float64(n), pMin)
@@ -388,6 +470,9 @@ func Hyperexp(data []float64, k int, opts EMOptions) (EMResult, error) {
 		prevLL = ll
 	}
 
+	// No checkEstimate here: the M step clamps every pᵢ to [pMin, 1]
+	// and λᵢ to [lamMin, lamMax], so EM estimates are finite and
+	// positive by construction (FuzzFit holds it to that).
 	h := dist.NewHyperexponential(p, lam)
 	metrics.emFits.Inc()
 	metrics.emIters.Add(uint64(iters))

@@ -3,6 +3,7 @@ package fit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/cycleharvest/ckptsched/internal/dist"
@@ -58,12 +59,32 @@ func TestExponentialErrors(t *testing.T) {
 }
 
 func TestCleanClampsToFloor(t *testing.T) {
-	got, err := clean([]float64{0, 0.5, 100, math.NaN()})
+	got, cens, events, err := clean([]float64{0, 0.5, 100, math.NaN()}, []bool{false, true, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != DurationFloor || got[1] != DurationFloor || got[2] != 100 {
 		t.Errorf("clean = %v", got)
+	}
+	if !slices.Equal(cens, []bool{false, true, false}) || events != 2 {
+		t.Errorf("clean flags = %v with %d events, want [false true false] with 2", cens, events)
+	}
+}
+
+// TestFitRejectsNonFiniteEstimates: a finite history whose sums
+// overflow float64 fails its fit with an error; it must not panic in a
+// dist constructor or return an infinite parameter.
+func TestFitRejectsNonFiniteEstimates(t *testing.T) {
+	for _, tc := range []struct {
+		m    Model
+		data []float64
+	}{
+		{ModelExponential, []float64{1, 1e308, 1e308}}, // Σx = +Inf, so λ̂ = 0
+		{ModelWeibull, []float64{1e300, 1e300, 2e300}}, // β̂ = +Inf
+	} {
+		if d, err := Fit(tc.m, tc.data); err == nil {
+			t.Errorf("Fit(%v, %v) = %v, want an error", tc.m, tc.data, d)
+		}
 	}
 }
 
@@ -114,7 +135,7 @@ func TestWeibullMLEScoreZeroAtSolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compare on the same cleaned data the estimator saw.
-	xs, err := clean(raw)
+	xs, _, _, err := clean(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

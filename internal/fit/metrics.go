@@ -7,7 +7,7 @@ import "github.com/cycleharvest/ckptsched/internal/obs"
 // one predictable branch per fit — never anything inside the EM inner
 // loops, which only flush local tallies when an estimate completes.
 var metrics struct {
-	// emFits counts completed Hyperexp EM estimations; emIters
+	// emFits counts completed EM estimations, exact and censored; emIters
 	// accumulates the iterations they took, so the ratio is the mean
 	// EM convergence length.
 	emFits, emIters *obs.Counter

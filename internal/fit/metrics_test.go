@@ -25,6 +25,10 @@ func TestCacheMetricsClassification(t *testing.T) {
 	if _, err := c.Fit("m2", ModelHyperexp2, data); err != nil { // miss + EM
 		t.Fatal(err)
 	}
+	// A censored EM fit runs the same body and is counted the same way.
+	if _, err := FitCensored(ModelHyperexp2, data, []bool{false, true, false, false, true, false, false, true}); err != nil {
+		t.Fatal(err)
+	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["fit_cache_misses_total"]; got != 2 {
 		t.Errorf("misses = %d, want 2", got)
@@ -35,8 +39,8 @@ func TestCacheMetricsClassification(t *testing.T) {
 	if got := snap.Counters["fit_cache_waits_total"]; got != 0 {
 		t.Errorf("waits = %d, want 0", got)
 	}
-	if fits := snap.Counters["fit_em_fits_total"]; fits != 1 {
-		t.Errorf("em fits = %d, want 1", fits)
+	if fits := snap.Counters["fit_em_fits_total"]; fits != 2 {
+		t.Errorf("em fits = %d, want 2 (one exact, one censored)", fits)
 	}
 	if iters := snap.Counters["fit_em_iterations_total"]; iters == 0 {
 		t.Error("em iterations not counted")

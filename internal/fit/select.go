@@ -70,18 +70,26 @@ func ParseModel(s string) (Model, error) {
 	return 0, fmt.Errorf("fit: unknown model %q", s)
 }
 
-// Fit estimates the given model family from data.
+// Fit estimates the given model family from exact data.
 func Fit(m Model, data []float64) (dist.Distribution, error) {
+	return FitCensored(m, data, nil)
+}
+
+// FitCensored estimates the given model family from data, where
+// censored[i] marks data[i] as right-censored: the resource was still
+// available after data[i] seconds. censored is nil or as long as data;
+// nil or all false is exact data, fitted bitwise as Fit fits it.
+func FitCensored(m Model, data []float64, censored []bool) (dist.Distribution, error) {
 	switch m {
 	case ModelExponential:
-		return Exponential(data)
+		return exponential(data, censored)
 	case ModelWeibull:
-		return Weibull(data)
+		return weibull(data, censored)
 	case ModelHyperexp2:
-		r, err := Hyperexp(data, 2, EMOptions{})
+		r, err := hyperexp(data, censored, 2, EMOptions{})
 		return r.Dist, err
 	case ModelHyperexp3:
-		r, err := Hyperexp(data, 3, EMOptions{})
+		r, err := hyperexp(data, censored, 3, EMOptions{})
 		return r.Dist, err
 	}
 	return nil, fmt.Errorf("fit: unknown model %v", m)

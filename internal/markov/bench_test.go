@@ -8,8 +8,8 @@ import (
 
 // BenchmarkGammaProbe times the objective every interval search
 // minimizes: gammaEvaluator.ratio at a fixed age, which Topt, toptWarm
-// and BuildSchedule all probe and Model.Gamma (BenchmarkGammaEval) does
-// not go through. One op is four probes, at T a decade apart, so the
+// and BuildSchedule all probe and Model.Gamma does not go through.
+// One op is four probes, at T a decade apart, so the
 // figure is not one argument's branch of a special function.
 func BenchmarkGammaProbe(b *testing.B) {
 	for _, d := range []dist.Distribution{

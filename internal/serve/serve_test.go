@@ -244,6 +244,52 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestServeOverflowingHistory: a finite history whose sums overflow
+// float64 answers 422 on both routes, every time, and leaves its key
+// answerable — the failed build completes its store entry instead of
+// stranding later callers behind it, and the fit cache memoizes the
+// error instead of a spent single-flight slot. Real connections, so a
+// handler panic shows as a failed request rather than a dead test.
+func TestServeOverflowingHistory(t *testing.T) {
+	srv := httptest.NewServer(New(Options{}))
+	defer srv.Close()
+	client := &http.Client{Timeout: 2 * time.Second}
+	status := func(method, path, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	for _, tc := range []struct{ key, model, data string }{
+		{"k1", "exponential", "[1,1e308,1e308]"},
+		{"w1", "weibull", "[1e300,1e300,2e300]"},
+	} {
+		sched := fmt.Sprintf(`{"key":%q,"model":%q,"data":%s,"c":50}`, tc.key, tc.model, tc.data)
+		for i := range 2 {
+			if got := status(http.MethodPost, "/v1/schedule", sched); got != http.StatusUnprocessableEntity {
+				t.Errorf("%s schedule POST %d = %d, want 422", tc.model, i+1, got)
+			}
+		}
+		if got := status(http.MethodGet, "/v1/schedule/"+tc.key+"/interval?age=5", ""); got != http.StatusUnprocessableEntity {
+			t.Errorf("%s interval = %d, want 422", tc.model, got)
+		}
+		fitBody := fmt.Sprintf(`{"key":"fit-%s","model":%q,"data":%s}`, tc.key, tc.model, tc.data)
+		for i := range 2 {
+			if got := status(http.MethodPost, "/v1/fit", fitBody); got != http.StatusUnprocessableEntity {
+				t.Errorf("%s fit POST %d = %d, want 422", tc.model, i+1, got)
+			}
+		}
+	}
+}
+
 // TestServeShed pins the overload contract: with the route full and no
 // queue, the next request is shed with 429 and a Retry-After header,
 // and the shed counter moves.

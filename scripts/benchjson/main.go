@@ -10,7 +10,7 @@
 //
 //	go test -run='^$' -bench='...' -count=5 . | \
 //	    go run ./scripts/benchjson -gate BENCH_seed.json -max-regression 20 \
-//	    -only 'BenchmarkGammaEval,BenchmarkTopt,BenchmarkBuildSchedule'
+//	    -only 'BenchmarkTopt,BenchmarkBuildSchedule'
 //
 // Each benchmark's repetitions collapse to the minimum ns/op — the
 // least-noise estimate of the code's true cost on the host — so a
