@@ -45,8 +45,10 @@ func (c MonitorConfig) epochOrDefault() time.Time {
 // availability traces they record. Each record is one occupancy: the
 // time from job start to eviction on one machine.
 //
-// Occupancies still in progress when the campaign ends are discarded
-// (right-censoring, which the paper's §5.3 validation discusses).
+// Occupancies still in progress when the campaign ends are
+// right-censored (the bias the paper's §5.3 validation discusses): they
+// are discarded, unless cfg.IncludeCensored records each as a record
+// with Censored set and the duration observed so far.
 func CollectTraces(p *Pool, cfg MonitorConfig) (*trace.Set, error) {
 	if p == nil {
 		return nil, errors.New("condor: nil pool")

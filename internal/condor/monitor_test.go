@@ -267,3 +267,22 @@ func TestMonthsSeconds(t *testing.T) {
 		t.Errorf("1 month = %g s", got)
 	}
 }
+
+// BenchmarkCollectTraces times pool synthesis with one monitor per
+// machine: 80 synthetic machines over a 1-month campaign, the event
+// loop and matchmaker that build every experiment's workload.
+func BenchmarkCollectTraces(b *testing.B) {
+	machines, err := SyntheticPool(SyntheticPoolConfig{Machines: 80, Seed: 2005})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range b.N {
+		p, err := NewPool(machines, 2005)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := CollectTraces(p, MonitorConfig{Monitors: 80, Duration: MonthsSeconds(1)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

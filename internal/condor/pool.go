@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"github.com/cycleharvest/ckptsched/internal/dist"
@@ -138,6 +139,7 @@ func (j *Job) State() JobState { return j.state }
 
 type machineState struct {
 	spec      Machine
+	index     int // declaration position; the machine's bit in Pool.free
 	idle      bool
 	idleSince float64
 	running   *Job
@@ -149,6 +151,15 @@ type Pool struct {
 	rng      *rand.Rand
 	machines []*machineState
 	queue    []*Job
+	// free holds, by declaration index, the machines that are idle and
+	// unoccupied, and nfree counts them: the candidates match may
+	// place a queued job on. becomeIdle, scheduleBusy, place and
+	// Complete keep both exact.
+	free  []uint64
+	nfree int
+	// scanMatch, when set, replaces match; the equivalence test sets it
+	// to the full-scan reference matchmaker.
+	scanMatch func(*Pool)
 
 	// Evictions counts owner reclamations that terminated a job.
 	Evictions int
@@ -188,7 +199,11 @@ func NewPool(machines []Machine, seed int64) (*Pool, error) {
 	if len(machines) == 0 {
 		return nil, errors.New("condor: pool needs at least one machine")
 	}
-	p := &Pool{clock: &Clock{}, rng: rand.New(rand.NewSource(seed))}
+	p := &Pool{
+		clock: &Clock{},
+		rng:   rand.New(rand.NewSource(seed)),
+		free:  make([]uint64, (len(machines)+63)/64),
+	}
 	// Interval validation draws from a salted probe stream, never from
 	// p.rng, so a pool built from valid machines is bit-identical to
 	// one built before validation existed.
@@ -211,7 +226,7 @@ func NewPool(machines []Machine, seed int64) (*Pool, error) {
 		if err := validateIntervals(m.Name, "busy", m.Busy, probe); err != nil {
 			return nil, err
 		}
-		ms := &machineState{spec: m}
+		ms := &machineState{spec: m, index: len(p.machines)}
 		p.machines = append(p.machines, ms)
 		if m.InitiallyBusy {
 			p.scheduleBusy(ms, m.Busy.Rand(p.rng))
@@ -270,6 +285,9 @@ func (p *Pool) Complete(j *Job) error {
 	}
 	ms := j.machine
 	ms.running = nil
+	if ms.idle {
+		p.setFree(ms)
+	}
 	j.machine = nil
 	j.state = JobCompleted
 	if j.OnComplete != nil {
@@ -298,27 +316,68 @@ func matches(m Machine, j *Job) bool {
 }
 
 // match places queued jobs on unoccupied idle machines (FIFO over the
-// queue, first matching machine in declaration order).
+// queue, first matching machine in declaration order). Only machines
+// in the free set are tested, and the walk stops once the set is
+// empty: every job after that point stays queued in order.
 func (p *Pool) match() {
+	if p.scanMatch != nil {
+		p.scanMatch(p)
+		return
+	}
+	if len(p.queue) == 0 || p.nfree == 0 {
+		return
+	}
 	remaining := p.queue[:0]
-	for _, j := range p.queue {
-		placed := false
-		for _, ms := range p.machines {
-			if ms.idle && ms.running == nil && matches(ms.spec, j) {
-				p.place(j, ms)
-				placed = true
-				break
-			}
+	for i, j := range p.queue {
+		if p.nfree == 0 {
+			remaining = append(remaining, p.queue[i:]...)
+			break
 		}
-		if !placed {
+		if ms := p.firstFree(j); ms != nil {
+			p.place(j, ms)
+		} else {
 			remaining = append(remaining, j)
 		}
 	}
 	p.queue = remaining
 }
 
+// firstFree returns the lowest-index free machine that matches j, or
+// nil.
+func (p *Pool) firstFree(j *Job) *machineState {
+	for w, word := range p.free {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << b
+			if ms := p.machines[w*64+b]; matches(ms.spec, j) {
+				return ms
+			}
+		}
+	}
+	return nil
+}
+
+// setFree and clearFree move ms into and out of the free set; each is
+// a no-op when the machine is already on that side.
+func (p *Pool) setFree(ms *machineState) {
+	w, bit := ms.index/64, uint64(1)<<(ms.index%64)
+	if p.free[w]&bit == 0 {
+		p.free[w] |= bit
+		p.nfree++
+	}
+}
+
+func (p *Pool) clearFree(ms *machineState) {
+	w, bit := ms.index/64, uint64(1)<<(ms.index%64)
+	if p.free[w]&bit != 0 {
+		p.free[w] &^= bit
+		p.nfree--
+	}
+}
+
 func (p *Pool) place(j *Job, ms *machineState) {
 	ms.running = j
+	p.clearFree(ms)
 	j.machine = ms
 	j.state = JobRunning
 	p.Starts++
@@ -335,6 +394,9 @@ func (p *Pool) place(j *Job, ms *machineState) {
 // its duration (diurnally modulated when the machine asks for it).
 func (p *Pool) becomeIdle(ms *machineState) {
 	ms.idle = true
+	if ms.running == nil {
+		p.setFree(ms)
+	}
 	ms.idleSince = p.clock.Now()
 	d := ms.spec.Idle.Rand(p.rng) * diurnalFactor(p.clock.Now(), ms.spec.DiurnalAmplitude)
 	p.clock.Schedule(d, func() { p.reclaimMachine(ms) })
@@ -344,6 +406,7 @@ func (p *Pool) becomeIdle(ms *machineState) {
 // scheduleBusy keeps the machine owner-active for d seconds.
 func (p *Pool) scheduleBusy(ms *machineState, d float64) {
 	ms.idle = false
+	p.clearFree(ms)
 	p.clock.Schedule(d, func() { p.becomeIdle(ms) })
 }
 

@@ -150,35 +150,47 @@ func RunCensoring(cfg CensoringConfig) (*CensoringResult, error) {
 	costs := markov.Costs{C: studyCTime, R: studyCTime, L: studyCTime}
 	simCfg := sim.Config{Costs: costs, CheckpointMB: PaperCheckpointMB}
 	// Uncensored strategy fits flow through one cache keyed
-	// (machine, strategy): every entry is distinct today, but the cache
-	// preserves the fit-once contract if the machine loop is ever
-	// parallelized or a strategy re-asks for a fit.
+	// (machine, strategy) that the machine loop's workers share; the
+	// cache single-flights every entry, so each fit runs once however
+	// the workers interleave.
 	fits := fit.NewCache()
 
-	// Per-(strategy, model) accumulators.
+	// key names one (strategy, model) cell.
 	type key struct {
 		s CensoringStrategy
 		m fit.Model
 	}
-	effs := make(map[key][]float64)
-	mbs := make(map[key][]float64)
-	var censObs, totObs int
-
-	for _, name := range long.Machines() {
+	// outcome is one machine's share of the study, written only by the
+	// worker that runs the machine: its short-window observation counts
+	// and, in (strategy, model) order, the replays whose fit and
+	// simulation succeeded.
+	type replay struct {
+		k       key
+		eff, mb float64
+	}
+	type outcome struct {
+		censObs, totObs int
+		replays         []replay
+	}
+	names := long.Machines()
+	outcomes := make([]outcome, len(names))
+	forEach(len(names), func(i int) {
+		name := names[i]
 		longTr := long.Traces[name]
 		shortTr, ok := short.Traces[name]
 		if !ok || longTr.Len() <= trace.DefaultTrainingSize+10 || shortTr.Len() < 5 {
-			continue
+			return
 		}
 		trainLong, test, err := longTr.Split(trace.DefaultTrainingSize)
 		if err != nil {
-			continue
+			return
 		}
+		o := &outcomes[i]
 		durs, flags := shortTr.Observations()
 		for _, f := range flags {
-			totObs++
+			o.totObs++
 			if f {
-				censObs++
+				o.censObs++
 			}
 		}
 
@@ -192,10 +204,22 @@ func RunCensoring(cfg CensoringConfig) (*CensoringResult, error) {
 				if err != nil {
 					continue
 				}
-				k := key{strategy, model}
-				effs[k] = append(effs[k], run.Result.Efficiency())
-				mbs[k] = append(mbs[k], run.Result.MBTransferred)
+				o.replays = append(o.replays,
+					replay{key{strategy, model}, run.Result.Efficiency(), run.Result.MBTransferred})
 			}
+		}
+	})
+	// Merge in machine order, so every mean adds in the same order
+	// however the workers ran.
+	effs := make(map[key][]float64)
+	mbs := make(map[key][]float64)
+	var censObs, totObs int
+	for _, o := range outcomes {
+		censObs += o.censObs
+		totObs += o.totObs
+		for _, r := range o.replays {
+			effs[r.k] = append(effs[r.k], r.eff)
+			mbs[r.k] = append(mbs[r.k], r.mb)
 		}
 	}
 	if totObs > 0 {

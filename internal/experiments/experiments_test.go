@@ -3,6 +3,8 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -308,6 +310,28 @@ func TestRunCensoringStudy(t *testing.T) {
 	}
 }
 
+// TestRunCensoringDeterministicAcrossGOMAXPROCS: the machine loop runs
+// on a worker pool and merges its per-machine slots in machine order,
+// so the study — every mean to the last bit, and its rendering byte
+// for byte — is the same however many workers ran it.
+func TestRunCensoringDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	run := func(procs int) *CensoringResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := RunCensoring(CensoringConfig{Machines: 20, Months: 6, Seed: 2005})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial, wide := run(1), run(4)
+	if a, b := RenderCensoring(serial), RenderCensoring(wide); a != b {
+		t.Errorf("rendered study depends on GOMAXPROCS:\n-- 1 --\n%s-- 4 --\n%s", a, b)
+	}
+	if !reflect.DeepEqual(serial, wide) {
+		t.Errorf("study depends on GOMAXPROCS:\n1: %+v\n4: %+v", serial.Cells, wide.Cells)
+	}
+}
+
 func TestRunLiveTablesAndValidation(t *testing.T) {
 	w := workload(t)
 	campusTable, campusCamp, err := RunLiveTable("Table 4: campus manager", LiveCampaignConfig{
@@ -467,5 +491,41 @@ func TestRunChaosExperiment(t *testing.T) {
 	// refuse a nil workload.
 	if _, err := RunChaos(ChaosConfig{}); err == nil {
 		t.Error("nil workload should error")
+	}
+}
+
+// TestRunSweepErrorIsDeterministic: when every task fails, RunSweep
+// reports the lowest (C index, machine index) task's error — the first
+// machine at the first C — however its workers interleave. The first
+// machine's training sample is stretched so its task is the slowest to
+// fail: a sweep that kept whichever error came first would name
+// another machine.
+func TestRunSweepErrorIsDeterministic(t *testing.T) {
+	w, err := NewWorkload(WorkloadConfig{Machines: 12, Months: 6, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var long []float64
+	for len(long) < 1<<16 {
+		long = append(long, w.Data[0].Train...)
+	}
+	data := slices.Clone(w.Data)
+	data[0].Train = long
+	w = &Workload{Machines: w.Machines, History: w.History, Data: data}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var first string
+	for i := range 20 {
+		_, err := RunSweep(w, []float64{1e9, 1e10}, 500)
+		if err == nil {
+			t.Fatal("a checkpoint longer than every availability period should fail the sweep")
+		}
+		if i == 0 {
+			first = err.Error()
+			if !strings.Contains(first, w.Data[0].Machine+" C=1e+09 ") {
+				t.Fatalf("error %q does not name %s at the first C", first, w.Data[0].Machine)
+			}
+		} else if err.Error() != first {
+			t.Fatalf("call %d returned %q, call 0 %q", i, err, first)
+		}
 	}
 }

@@ -39,6 +39,9 @@ type Sweep struct {
 // same machine at different C values simultaneously the EM fit runs
 // once and everyone else blocks on it; the fit itself is deterministic,
 // so the results are identical to the refit-every-time protocol.
+//
+// When tasks fail, the error returned is the lowest (C index, machine
+// index) task's, so it does not depend on worker interleaving.
 func RunSweep(w *Workload, ctimes []float64, checkpointMB float64) (*Sweep, error) {
 	if len(ctimes) == 0 {
 		ctimes = PaperCTimes
@@ -60,60 +63,60 @@ func RunSweep(w *Workload, ctimes []float64, checkpointMB float64) (*Sweep, erro
 	}
 
 	fits := fit.NewCache()
-	type task struct {
-		ci, mi int
+	// Task t is the (C index, machine index) pair (t / len, t % len).
+	errs := make([]error, len(ctimes)*len(w.Data))
+	forEach(len(errs), func(t int) {
+		ci, mi := t/len(w.Data), t%len(w.Data)
+		md := w.Data[mi]
+		costs := markov.Costs{C: ctimes[ci], R: ctimes[ci], L: ctimes[ci]}
+		for _, model := range fit.Models {
+			d, err := fits.Fit(md.Machine, model, md.Train)
+			if err != nil {
+				errs[t] = fmt.Errorf("experiments: %s C=%g %v: fit: %w", md.Machine, ctimes[ci], model, err)
+				return
+			}
+			run, err := sim.RunFitted(d, model, md.Test, sim.Config{
+				Costs:        costs,
+				CheckpointMB: checkpointMB,
+			})
+			if err != nil {
+				errs[t] = fmt.Errorf("experiments: %s C=%g %v: %w", md.Machine, ctimes[ci], model, err)
+				return
+			}
+			s.Efficiency[model][ci][mi] = run.Result.Efficiency()
+			s.MB[model][ci][mi] = run.Result.MBTransferred
+		}
+	})
+	// The lowest failing (C, machine) task wins, however the workers
+	// interleaved.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	tasks := make(chan task)
+	return s, nil
+}
+
+// forEach calls fn(0) … fn(n-1) from min(GOMAXPROCS, n) workers and
+// returns when every call has. fn must be safe to run concurrently
+// with itself and must keep what it produces apart by index.
+func forEach(n int, fn func(i int)) {
+	idxc := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	workers := runtime.GOMAXPROCS(0)
-	for range workers {
+	for range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range tasks {
-				md := w.Data[t.mi]
-				costs := markov.Costs{C: ctimes[t.ci], R: ctimes[t.ci], L: ctimes[t.ci]}
-				for _, model := range fit.Models {
-					fail := func(err error) {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("experiments: %s C=%g %v: %w",
-								md.Machine, ctimes[t.ci], model, err)
-						}
-						mu.Unlock()
-					}
-					d, err := fits.Fit(md.Machine, model, md.Train)
-					if err != nil {
-						fail(fmt.Errorf("fit: %w", err))
-						continue
-					}
-					run, err := sim.RunFitted(d, model, md.Test, sim.Config{
-						Costs:        costs,
-						CheckpointMB: checkpointMB,
-					})
-					if err != nil {
-						fail(err)
-						continue
-					}
-					s.Efficiency[model][t.ci][t.mi] = run.Result.Efficiency()
-					s.MB[model][t.ci][t.mi] = run.Result.MBTransferred
-				}
+			for i := range idxc {
+				fn(i)
 			}
 		}()
 	}
-	for ci := range ctimes {
-		for mi := range w.Data {
-			tasks <- task{ci, mi}
-		}
+	for i := range n {
+		idxc <- i
 	}
-	close(tasks)
+	close(idxc)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return s, nil
 }
 
 func grid(rows, cols int) [][]float64 {
