@@ -38,6 +38,10 @@ type DeltaConfig struct {
 	WireBins int
 }
 
+// defaultDirtyRate is the delta study's per-chunk dirtying rate unless
+// configured otherwise.
+const defaultDirtyRate = 0.001
+
 // DeltaResult compares the three paired campaigns.
 type DeltaResult struct {
 	LinkName  string
@@ -92,7 +96,7 @@ func RunDelta(cfg DeltaConfig) (*DeltaResult, error) {
 		cfg.SamplesPerModel = 5
 	}
 	if cfg.DirtyRate <= 0 {
-		cfg.DirtyRate = 0.001
+		cfg.DirtyRate = defaultDirtyRate
 	}
 	if cfg.WireBins <= 0 {
 		cfg.WireBins = 48
@@ -133,24 +137,11 @@ func RunDelta(cfg DeltaConfig) (*DeltaResult, error) {
 		VarCost:   varTable,
 		Sessions:  len(fullCamp.Samples),
 	}
-	res.FullEfficiency, res.FullMBPerHour = campaignAggregates(fullCamp)
-	res.DeltaEfficiency, res.DeltaMBPerHour = campaignAggregates(deltaCamp)
-	res.VarCostEfficiency, res.VarCostMBPerHour = campaignAggregates(varCamp)
-	res.FullMB, _ = campaignWire(fullCamp)
-	res.DeltaMB, res.DeltaCheckpoints = campaignWire(deltaCamp)
-	res.VarCostMB, res.VarCostCheckpoints = campaignWire(varCamp)
+	res.FullEfficiency, res.FullMBPerHour, res.FullMB, _ = campaignAggregates(fullCamp)
+	res.DeltaEfficiency, res.DeltaMBPerHour, res.DeltaMB, res.DeltaCheckpoints = campaignAggregates(deltaCamp)
+	res.VarCostEfficiency, res.VarCostMBPerHour, res.VarCostMB, res.VarCostCheckpoints = campaignAggregates(varCamp)
 	res.FullWire = fullCamp.Wire
 	res.DeltaWire = deltaCamp.Wire
 	res.VarCostWire = varCamp.Wire
 	return res, nil
-}
-
-// campaignWire sums the campaign's bytes-on-wire (megabytes) and its
-// delta-checkpoint count.
-func campaignWire(c *live.Campaign) (mb float64, deltas int) {
-	for _, s := range c.Samples {
-		mb += s.MBMoved
-		deltas += s.DeltaCheckpoints
-	}
-	return
 }

@@ -4,109 +4,67 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-
-	"github.com/cycleharvest/ckptsched/internal/ckptnet"
-	"github.com/cycleharvest/ckptsched/internal/predict"
 )
 
+// ciPlan is what `ckpt-experiments -machines 20 -months 6 -samples 2
+// -seed 7` runs: the paper's evaluation at CI scale.
+func ciPlan() Plan {
+	p := DefaultPlan()
+	p.Machines, p.Months, p.Samples, p.Seed = 20, 6, 2, 7
+	return p
+}
+
+var (
+	ciOnce   sync.Once
+	ciReport *Report
+	ciErr    error
+)
+
+// ciAll runs ciPlan with every stage once per test binary.
+func ciAll(t *testing.T) *Report {
+	t.Helper()
+	ciOnce.Do(func() { ciReport, ciErr = ciPlan().Run() })
+	if ciErr != nil {
+		t.Fatal(ciErr)
+	}
+	return ciReport
+}
+
 // TestGoldenTables pins the rendered paper artifacts byte for byte at
-// CI scale — what `ckpt-experiments -machines 20 -months 6 -samples 2
-// -seed 7` prints for Figures 3/4, Tables 1–5, the §5.3 validation,
-// the prediction sweep and the chaos experiment under -policy migrate
-// (same calls, same seed offsets as cmd/ckpt-experiments). The delta
-// study is left out: its wire totals are allowed to move.
+// CI scale: each golden file holds the sections of its stages, as
+// ckpt-experiments prints them.
 //
 // The files under testdata/ are the fixed point a refactor of sim,
 // parallel, live or predict must hold. A missing file is recorded from
 // the current tree and the test fails once, so a deliberate change is
 // re-recorded by deleting the file and reviewing the diff.
 func TestGoldenTables(t *testing.T) {
-	const seed = 7
-	w, err := NewWorkload(WorkloadConfig{Machines: 20, Months: 6, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveTable := func(name string, link ckptnet.Link, samples int, seed int64, validate bool) string {
-		tab, camp, err := RunLiveTable(name, LiveCampaignConfig{
-			Workload: w, Link: link, SamplesPerModel: samples, Concurrency: 1, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := RenderLiveTable(tab) + "\n"
-		if validate {
-			v, err := RunValidation(w, camp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out += RenderValidation(v) + "\n"
-		}
-		return out
-	}
-
-	artifacts := []struct {
+	r := ciAll(t)
+	for _, g := range []struct {
 		file   string
-		render func() string
+		stages []string
 	}{
-		{"sweep.golden", func() string {
-			s, err := RunSweep(w, PaperCTimes, PaperCheckpointMB)
+		{"sweep.golden", []string{"figure3", "table1", "figure4", "table3"}},
+		{"table2.golden", []string{"table2"}},
+		{"live.golden", []string{"table4", "validate", "table5"}},
+		{"chaos_migrate.golden", []string{"chaos"}},
+		{"predict.golden", []string{"predict"}},
+		{"delta.golden", []string{"delta"}},
+		{"sensitivity.golden", []string{"sensitivity"}},
+		{"censoring.golden", []string{"censoring"}},
+	} {
+		var b strings.Builder
+		for _, s := range g.stages {
+			out, err := r.section(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t1, err := s.Table1()
-			if err != nil {
-				t.Fatal(err)
-			}
-			t3, err := s.Table3()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return RenderFigure("Figure 3: mean machine utilization vs checkpoint duration", s.CTimes, s.Figure3(), 3) + "\n" +
-				RenderTable(t1, 3) + "\n" +
-				RenderFigure("Figure 4: mean network load (MB, 500 MB checkpoints) vs checkpoint duration", s.CTimes, s.Figure4(), 0) + "\n" +
-				RenderTable(t3, 0) + "\n"
-		}},
-		{"table2.golden", func() string {
-			res, err := RunTable2(Table2Config{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return RenderTable2(res) + "\n"
-		}},
-		{"live.golden", func() string {
-			return liveTable("Table 4: checkpoint manager on the campus network", ckptnet.CampusLink(), 2, seed+4, true) +
-				liveTable("Table 5: checkpoint manager across the wide area", ckptnet.WideAreaLink(), 1, seed+5, false)
-		}},
-		{"chaos_migrate.golden", func() string {
-			res, err := RunChaos(ChaosConfig{
-				Workload: w,
-				Link:     ckptnet.CampusLink(),
-				Faults:   ckptnet.LinkFaultConfig{TearProb: 0.10, StallProb: 0.05, StallSec: 30, OutageProb: 0.10},
-				Seed:     seed + 6,
-				Predict:  predict.Config{Precision: 0.85, Recall: 0.8, LeadSec: 240},
-				Policy:   predict.PolicyMigrate,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return RenderChaos(res) + "\n"
-		}},
-		{"predict.golden", func() string {
-			res, err := RunPrediction(PredictionConfig{Seed: seed + 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := RenderPrediction(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out + "\n"
-		}},
-	}
-	for _, a := range artifacts {
-		got := a.render()
-		path := filepath.Join("testdata", a.file)
+			b.WriteString(out)
+		}
+		got := b.String()
+		path := filepath.Join("testdata", g.file)
 		want, err := os.ReadFile(path)
 		if os.IsNotExist(err) {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -138,5 +96,41 @@ func TestGoldenTables(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestPlanStageRunsAlone pins "prerequisites written once": a plan
+// selecting one stage renders, apart from its "#" progress lines, the
+// same bytes as that stage's section of the all-stage run.
+func TestPlanStageRunsAlone(t *testing.T) {
+	all := ciAll(t)
+	for _, name := range Stages {
+		t.Run(name, func(t *testing.T) {
+			want, err := all.section(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := ciPlan()
+			if p.Stages, err = SelectStages(name); err != nil {
+				t.Fatal(err)
+			}
+			r, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			if err := r.Render(&b); err != nil {
+				t.Fatal(err)
+			}
+			var kept []string
+			for _, line := range strings.SplitAfter(b.String(), "\n") {
+				if !strings.HasPrefix(line, "#") {
+					kept = append(kept, line)
+				}
+			}
+			if got := strings.TrimLeft(strings.Join(kept, ""), "\n"); got != want {
+				t.Errorf("-run %s renders\n%s\nbut its section of -run all is\n%s", name, got, want)
+			}
+		})
 	}
 }

@@ -161,7 +161,7 @@ func RunValidation(w *Workload, camp *live.Campaign) (*ValidationResult, error) 
 }
 
 // ChaosConfig parameterizes the fault-injected live campaign the
-// -chaos experiment runs: the same campaign twice, once over the clean
+// chaos study runs: the same campaign twice, once over the clean
 // link and once under fault injection, so the resilience layer's
 // overhead is directly measurable.
 type ChaosConfig struct {
@@ -236,6 +236,13 @@ func (r *ChaosResult) BandwidthDelta() float64 {
 	return r.ChaosMBPerHour - r.CleanMBPerHour
 }
 
+// defaultFaults and defaultPredictor are the chaos study's fault mix
+// and predictor quality unless configured otherwise.
+var (
+	defaultFaults    = ckptnet.LinkFaultConfig{TearProb: 0.10, StallProb: 0.05, StallSec: 30, OutageProb: 0.10}
+	defaultPredictor = predict.Config{Precision: 0.85, Recall: 0.8, LeadSec: 240}
+)
+
 // RunChaos runs the paired clean/fault-injected campaigns and reports
 // the overhead and bandwidth deltas plus the resilience totals.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
@@ -248,54 +255,38 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.SamplesPerModel <= 0 {
 		cfg.SamplesPerModel = 5
 	}
-	zero := ckptnet.LinkFaultConfig{}
-	if cfg.Faults == zero {
-		cfg.Faults = ckptnet.LinkFaultConfig{
-			TearProb:   0.10,
-			StallProb:  0.05,
-			StallSec:   30,
-			OutageProb: 0.10,
-		}
-	}
-
-	cleanTable, cleanCamp, err := RunLiveTable("clean", LiveCampaignConfig{
-		Workload:        cfg.Workload,
-		Link:            cfg.Link,
-		SamplesPerModel: cfg.SamplesPerModel,
-		Seed:            cfg.Seed,
-		Tracer:          cfg.Tracer,
-		TracePidBase:    cfg.TracePidBase,
-	})
-	if err != nil {
-		return nil, err
-	}
-	chaosTable, chaosCamp, err := RunLiveTable("chaos", LiveCampaignConfig{
-		Workload:        cfg.Workload,
-		Link:            ckptnet.ChaosLink{Inner: cfg.Link, Faults: cfg.Faults},
-		SamplesPerModel: cfg.SamplesPerModel,
-		Seed:            cfg.Seed,
-		Tracer:          cfg.Tracer,
-		TracePidBase:    cfg.TracePidBase + TraceCampaignStride,
-	})
-	if err != nil {
-		return nil, err
+	if cfg.Faults == (ckptnet.LinkFaultConfig{}) {
+		cfg.Faults = defaultFaults
 	}
 	if !cfg.Predict.Enabled() {
-		cfg.Predict = predict.Config{Precision: 0.85, Recall: 0.8, LeadSec: 240}
+		cfg.Predict = defaultPredictor
 		if cfg.Policy == predict.PolicyReactive {
 			cfg.Policy = predict.PolicyMigrate
 		}
 	}
-	predictTable, predictCamp, err := RunLiveTable("chaos+predict", LiveCampaignConfig{
-		Workload:        cfg.Workload,
-		Link:            ckptnet.ChaosLink{Inner: cfg.Link, Faults: cfg.Faults},
-		SamplesPerModel: cfg.SamplesPerModel,
-		Seed:            cfg.Seed,
-		Tracer:          cfg.Tracer,
-		TracePidBase:    cfg.TracePidBase + 2*TraceCampaignStride,
-		Predict:         cfg.Predict,
-		Policy:          cfg.Policy,
-	})
+	// The three campaigns share placements and seed, one lane block each.
+	runOne := func(name string, lane uint64, link ckptnet.Link, pred predict.Config, policy predict.Policy) (*LiveTable, *live.Campaign, error) {
+		return RunLiveTable(name, LiveCampaignConfig{
+			Workload:        cfg.Workload,
+			Link:            link,
+			SamplesPerModel: cfg.SamplesPerModel,
+			Seed:            cfg.Seed,
+			Tracer:          cfg.Tracer,
+			TracePidBase:    cfg.TracePidBase + lane*TraceCampaignStride,
+			Predict:         pred,
+			Policy:          policy,
+		})
+	}
+	chaosLink := ckptnet.ChaosLink{Inner: cfg.Link, Faults: cfg.Faults}
+	cleanTable, cleanCamp, err := runOne("clean", 0, cfg.Link, predict.Config{}, predict.PolicyReactive)
+	if err != nil {
+		return nil, err
+	}
+	chaosTable, chaosCamp, err := runOne("chaos", 1, chaosLink, predict.Config{}, predict.PolicyReactive)
+	if err != nil {
+		return nil, err
+	}
+	predictTable, predictCamp, err := runOne("chaos+predict", 2, chaosLink, cfg.Predict, cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -310,22 +301,23 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Sessions:      len(chaosCamp.Samples),
 	}
 	res.Retries, res.Torn, res.Fallbacks, res.BackoffSec = chaosCamp.ChaosTotals()
-	res.CleanEfficiency, res.CleanMBPerHour = campaignAggregates(cleanCamp)
-	res.ChaosEfficiency, res.ChaosMBPerHour = campaignAggregates(chaosCamp)
-	res.PredictEfficiency, res.PredictMBPerHour = campaignAggregates(predictCamp)
+	res.CleanEfficiency, res.CleanMBPerHour, _, _ = campaignAggregates(cleanCamp)
+	res.ChaosEfficiency, res.ChaosMBPerHour, _, _ = campaignAggregates(chaosCamp)
+	res.PredictEfficiency, res.PredictMBPerHour, _, _ = campaignAggregates(predictCamp)
 	res.Ledger = predictCamp.PredictionTotals()
 	return res, nil
 }
 
-// campaignAggregates computes the campaign-wide mean efficiency and
-// MB/hour.
-func campaignAggregates(c *live.Campaign) (eff, mbPerHour float64) {
+// campaignAggregates computes the campaign-wide mean efficiency,
+// MB/hour, bytes on wire (megabytes) and delta-checkpoint count.
+func campaignAggregates(c *live.Campaign) (eff, mbPerHour, mb float64, deltas int) {
 	var effs []float64
-	var mb, sec float64
+	var sec float64
 	for _, s := range c.Samples {
 		effs = append(effs, s.Efficiency())
 		mb += s.MBMoved
 		sec += s.SessionSec
+		deltas += s.DeltaCheckpoints
 	}
 	if len(effs) > 0 {
 		eff = stats.Mean(effs)
@@ -333,5 +325,5 @@ func campaignAggregates(c *live.Campaign) (eff, mbPerHour float64) {
 	if sec > 0 {
 		mbPerHour = mb / (sec / 3600)
 	}
-	return eff, mbPerHour
+	return eff, mbPerHour, mb, deltas
 }

@@ -136,12 +136,9 @@ func RenderDelta(r *DeltaResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Delta experiment: %d sessions over %s, full vs delta vs delta+variable-C (dirty rate %g/s)\n\n",
 		r.Sessions, r.LinkName, r.DirtyRate)
-	b.WriteString(RenderLiveTable(r.Full))
-	b.WriteString("\n")
-	b.WriteString(RenderLiveTable(r.Delta))
-	b.WriteString("\n")
-	b.WriteString(RenderLiveTable(r.VarCost))
-	b.WriteString("\n")
+	for _, t := range []*LiveTable{r.Full, r.Delta, r.VarCost} {
+		b.WriteString(RenderLiveTable(t) + "\n")
+	}
 	fmt.Fprintf(&b, "%-24s %12s %12s %14s\n", "Campaign aggregate", "Full", "Delta", "Delta+var-C")
 	fmt.Fprintf(&b, "%-24s %12.3f %12.3f %14.3f\n",
 		"Efficiency", r.FullEfficiency, r.DeltaEfficiency, r.VarCostEfficiency)
@@ -191,14 +188,11 @@ func writeWireRow(b *strings.Builder, label string, w *obs.ByteSeries) {
 func RenderChaos(r *ChaosResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Chaos experiment: %d sessions over %s, clean vs fault-injected vs predicted\n\n", r.Sessions, r.LinkName)
-	b.WriteString(RenderLiveTable(r.Clean))
-	b.WriteString("\n")
-	b.WriteString(RenderLiveTable(r.Chaos))
-	if r.Predict != nil {
-		b.WriteString("\n")
-		b.WriteString(RenderLiveTable(r.Predict))
+	for _, t := range []*LiveTable{r.Clean, r.Chaos, r.Predict} {
+		if t != nil {
+			b.WriteString(RenderLiveTable(t) + "\n")
+		}
 	}
-	b.WriteString("\n")
 	fmt.Fprintf(&b, "%-24s %10s %10s %10s %10s\n", "Campaign aggregate", "Clean", "Chaos", "Delta", "Predicted")
 	fmt.Fprintf(&b, "%-24s %10.3f %10.3f %+10.3f %10.3f\n",
 		"Efficiency", r.CleanEfficiency, r.ChaosEfficiency, r.EfficiencyDelta(), r.PredictEfficiency)
