@@ -150,8 +150,8 @@ func TestDistFromParamsErrors(t *testing.T) {
 }
 
 func TestParamsOfUnsupported(t *testing.T) {
-	if _, _, err := ParamsOf(dist.NewConditional(dist.NewExponential(1), 5)); err == nil {
-		t.Error("conditional should be unsupported")
+	if _, _, err := ParamsOf(dist.NewLogNormal(6.5, 1.2)); err == nil {
+		t.Error("lognormal should be unsupported on the wire")
 	}
 	h4 := dist.NewHyperexponential([]float64{0.25, 0.25, 0.25, 0.25}, []float64{1, 2, 3, 4})
 	if _, _, err := ParamsOf(h4); err == nil {

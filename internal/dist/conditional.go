@@ -1,142 +1,54 @@
 package dist
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
-
-// Conditional is the future-lifetime distribution F_t of §3.3 (Eq. 8):
-// the distribution of the remaining lifetime X - t of a resource that
-// has already been available for t = Age seconds,
+// Conditional is the future-lifetime law F_t of §3.3 (Eq. 8) at one
+// age t: the law of the remaining lifetime X − t of a resource that has
+// already been available for t seconds,
 //
-//	F_t(x) = (F(t+x) − F(t)) / (1 − F(t)).
+//	S_t(x)  = S(t+x) / S(t),
+//	PM_t(x) = ∫₀ˣ u f_t(u) du = [PM(t+x) − PM(t) − t(F(t+x) − F(t))] / S(t).
 //
-// For an exponential base this collapses to the base distribution
-// (memorylessness); for Weibull and hyperexponential bases it is the
-// quantity that turns a single optimal interval into an aperiodic
-// schedule.
+// It is the one place the program computes these quantities: the
+// Markov model's state-0 terms and its expected images per commit all
+// read them through At. NewConditional evaluates S, F and PM at the
+// age once; every At then costs one Point of the base law, which is
+// what a T_opt search, probing dozens of spans at one age, needs.
+//
+// For an exponential base S_t equals S (memorylessness); for Weibull
+// and hyperexponential bases it is the quantity that turns a single
+// optimal interval into an aperiodic schedule.
 type Conditional struct {
-	Base Distribution
-	Age  float64
+	base                Distribution
+	age                 float64
+	sAge, cdfAge, pmAge float64 // base S, F and PM at age
 }
 
-// NewConditional returns the future-lifetime distribution of base at
-// the given age. A negative age is treated as zero. If the base
-// survival at age is zero the resulting distribution is degenerate at
-// zero (the resource is already certain to have failed); callers in
-// the Markov model guard against this case explicitly.
+// NewConditional returns the future-lifetime law of base at the given
+// age. A negative age is treated as zero.
 func NewConditional(base Distribution, age float64) Conditional {
 	if age < 0 {
 		age = 0
 	}
-	return Conditional{Base: base, Age: age}
+	c := Conditional{base: base, age: age}
+	c.sAge, c.cdfAge, c.pmAge = Point(base, age)
+	return c
 }
 
-// PDF implements Distribution: f(t+x)/S(t).
-func (c Conditional) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	s := c.Base.Survival(c.Age)
-	if s <= 0 {
-		return 0
-	}
-	return c.Base.PDF(c.Age+x) / s
-}
+// AgeSurvival returns S(t), the survival mass the law is conditioned
+// on. Where it is tiny, At divides by it and its results lose
+// precision.
+func (c Conditional) AgeSurvival() float64 { return c.sAge }
 
-// CDF implements Distribution (Eq. 8).
-func (c Conditional) CDF(x float64) float64 {
+// At returns the conditional survival S_t(x) and partial moment
+// PM_t(x). At x ≤ 0 they are (1, 0). If S(t) is zero the resource is
+// already certain to have failed, and they are (0, 0).
+func (c Conditional) At(x float64) (s, pm float64) {
 	if x <= 0 {
-		return 0
+		return 1, 0
 	}
-	s := c.Base.Survival(c.Age)
-	if s <= 0 {
-		return 1
+	if c.sAge <= 0 {
+		return 0, 0
 	}
-	return 1 - c.Base.Survival(c.Age+x)/s
+	sx, cdf, pmx := Point(c.base, c.age+x)
+	dF := cdf - c.cdfAge
+	return sx / c.sAge, (pmx - c.pmAge - c.age*dF) / c.sAge
 }
-
-// Survival implements Distribution: S(t+x)/S(t).
-func (c Conditional) Survival(x float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	s := c.Base.Survival(c.Age)
-	if s <= 0 {
-		return 0
-	}
-	return c.Base.Survival(c.Age+x) / s
-}
-
-// Quantile implements Distribution via the base quantile:
-// F_t^{-1}(p) = F^{-1}(F(t) + p·S(t)) − t.
-func (c Conditional) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return math.Inf(1)
-	}
-	s := c.Base.Survival(c.Age)
-	if s <= 0 {
-		return 0
-	}
-	return c.Base.Quantile(c.Base.CDF(c.Age)+p*s) - c.Age
-}
-
-// Mean implements Distribution: the mean residual life at Age.
-func (c Conditional) Mean() float64 {
-	return MeanResidualLife(c.Base, c.Age)
-}
-
-// PartialMoment implements Distribution in closed form through the
-// base partial moment:
-//
-//	∫₀ˣ u f_t(u) du = [PM(t+x) − PM(t) − t(F(t+x) − F(t))] / S(t).
-func (c Conditional) PartialMoment(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	s, cdfAge, pmAge := Point(c.Base, c.Age)
-	if s <= 0 {
-		return 0
-	}
-	_, cdf, pm := Point(c.Base, c.Age+x)
-	dF := cdf - cdfAge
-	return (pm - pmAge - c.Age*dF) / s
-}
-
-// SurvivalIntegral implements SurvivalIntegraler when the base does:
-// ∫ₓ^∞ S(t+u)/S(t) du = SI_base(t+x)/S(t). Without base support it
-// falls back to 0-age semantics via the package helper.
-func (c Conditional) SurvivalIntegral(x float64) float64 {
-	if x < 0 {
-		x = 0
-	}
-	s := c.Base.Survival(c.Age)
-	if s <= 0 {
-		return 0
-	}
-	if si, ok := c.Base.(SurvivalIntegraler); ok {
-		return si.SurvivalIntegral(c.Age+x) / s
-	}
-	// ∫ₓ^∞ S(t+u)/S(t) du = MRL_base(t+x) · S(t+x)/S(t).
-	return MeanResidualLife(c.Base, c.Age+x) * c.Survival(x)
-}
-
-// Rand implements Distribution by inverse-transform sampling of the
-// conditional law.
-func (c Conditional) Rand(rng *rand.Rand) float64 {
-	return c.Quantile(rng.Float64())
-}
-
-// Name implements Distribution.
-func (c Conditional) Name() string {
-	return fmt.Sprintf("%s|age=%g", c.Base.Name(), c.Age)
-}
-
-// Memoryless implements the Memoryless capability by delegating to the
-// base: conditioning a memoryless law on age reproduces the law itself,
-// so the wrapper preserves (and must report) the property.
-func (c Conditional) Memoryless() bool { return IsMemoryless(c.Base) }

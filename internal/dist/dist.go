@@ -1,7 +1,7 @@
 // Package dist implements the availability-duration distributions the
 // paper fits to Condor occupancy data: exponential, Weibull, and
 // k-phase hyperexponential (Eqs. 1-7), together with the
-// future-lifetime (age-conditioned) distributions of §3.3 (Eqs. 8-10).
+// future-lifetime (age-conditioned) law of §3.3 (Eqs. 8-10).
 //
 // Beyond the textbook density/distribution functions, every family
 // exposes the closed-form partial moment ∫₀ˣ t·f(t) dt that the Markov
@@ -42,18 +42,10 @@ type Distribution interface {
 	Name() string
 }
 
-// Varer is implemented by distributions that expose their variance in
-// closed form.
-type Varer interface {
-	Var() float64
-}
-
 // Memoryless is an optional capability interface. A distribution whose
 // future-lifetime law is independent of age — the exponential family —
-// reports it by returning true. Wrappers that preserve the law (e.g.
-// Conditional) delegate to their base; wrappers that do not implement
-// the interface simply never claim the property, which is the safe
-// default.
+// reports it by returning true. A type that does not implement the
+// interface never claims the property, which is the safe default.
 //
 // Consumers must detect the capability through IsMemoryless rather
 // than by inspecting Name(), so renaming a family or interposing a
@@ -99,9 +91,9 @@ func quantileByBisection(cdf func(float64) float64, p float64) float64 {
 	return 0.5 * (lo + hi)
 }
 
-// NumericPartialMoment computes ∫₀ˣ t·f(t) dt numerically. It exists
-// as an oracle for property tests and as a fallback for distributions
-// without closed-form partial moments.
+// NumericPartialMoment computes ∫₀ˣ t·f(t) dt numerically. It is the
+// property tests' oracle for every family's closed form; no program
+// path calls it.
 //
 // It uses integration by parts, ∫₀ˣ t f(t) dt = x·F(x) − ∫₀ˣ F(t) dt,
 // so only the bounded, monotone CDF is integrated (the density may be
@@ -130,8 +122,11 @@ func NumericPartialMoment(d Distribution, x float64) float64 {
 }
 
 // SurvivalIntegraler is implemented by distributions that can evaluate
-// ∫ₓ^∞ S(u) du in closed form. The integral equals E[(X−x)⁺] and gives
-// a cancellation-free route to the mean residual life.
+// ∫ₓ^∞ S(u) du in closed form. The integral equals E[(X−x)⁺]. No
+// caller reads it yet: it is kept as the cancellation-free route to
+// the conditional law's expected lifetime within a span,
+// E[min(X_t, s)] = [SI(t) − SI(t+s)] / S(t), which can replace the
+// partial-moment subtraction in Conditional.At deep in the tail.
 type SurvivalIntegraler interface {
 	SurvivalIntegral(x float64) float64
 }
@@ -164,47 +159,4 @@ func Point(d Distribution, x float64) (s, cdf, pm float64) {
 		return p.Point(x)
 	}
 	return d.Survival(x), d.CDF(x), d.PartialMoment(x)
-}
-
-// MeanResidualLife returns E[X - t | X > t], the expected remaining
-// lifetime of a resource that has already been available for t
-// seconds. For heavy-tailed families this grows with t, which is the
-// mechanism behind the paper's aperiodic schedules.
-func MeanResidualLife(d Distribution, t float64) float64 {
-	s := d.Survival(t)
-	if s <= 0 {
-		return 0
-	}
-	if si, ok := d.(SurvivalIntegraler); ok {
-		return si.SurvivalIntegral(t) / s
-	}
-	// Numeric fallback: integrate the conditional survival over
-	// quantile segments, with an exponential-tail correction beyond
-	// the highest quantile.
-	c := NewConditional(d, t)
-	integral := 0.0
-	prev := 0.0
-	const pMax = 1 - 1e-10
-	for _, p := range []float64{0.25, 0.5, 0.75, 0.9, 0.99, 0.9999, pMax} {
-		q := c.Quantile(p)
-		if math.IsInf(q, 1) || q <= prev {
-			continue
-		}
-		integral += mathx.SimpsonAdaptive(c.Survival, prev, q, 1e-12*math.Max(1, q-prev))
-		prev = q
-	}
-	if h := Hazard(d, t+prev); h > 0 && !math.IsInf(h, 1) {
-		integral += c.Survival(prev) / h
-	}
-	return integral
-}
-
-// Hazard returns the hazard rate f(t)/S(t), the instantaneous failure
-// intensity at age t.
-func Hazard(d Distribution, t float64) float64 {
-	s := d.Survival(t)
-	if s <= 0 {
-		return math.Inf(1)
-	}
-	return d.PDF(t) / s
 }

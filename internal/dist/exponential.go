@@ -66,9 +66,6 @@ func (e Exponential) Quantile(p float64) float64 {
 // Mean implements Distribution.
 func (e Exponential) Mean() float64 { return 1 / e.Lambda }
 
-// Var returns the variance 1/λ².
-func (e Exponential) Var() float64 { return 1 / (e.Lambda * e.Lambda) }
-
 // PartialMoment implements Distribution:
 //
 //	∫₀ˣ t λ e^(-λt) dt = 1/λ − e^(-λx)(x + 1/λ).

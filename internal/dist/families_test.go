@@ -18,9 +18,6 @@ func TestExponentialKnownValues(t *testing.T) {
 	if got := e.Mean(); got != 0.5 {
 		t.Errorf("Mean = %g, want 0.5", got)
 	}
-	if got := e.Var(); got != 0.25 {
-		t.Errorf("Var = %g, want 0.25", got)
-	}
 	// ∫₀^∞ t·2e^{-2t} dt = 1/2; at x=∞ the partial moment is the mean.
 	if got := e.PartialMoment(1e9); !almostEqual(got, 0.5, 1e-12) {
 		t.Errorf("PartialMoment(inf) = %g, want 0.5", got)
@@ -32,8 +29,8 @@ func TestExponentialMemoryless(t *testing.T) {
 	f := func(age, x float64) bool {
 		age = math.Abs(math.Mod(age, 1e5))
 		x = math.Abs(math.Mod(x, 1e4))
-		c := NewConditional(e, age)
-		return almostEqual(c.CDF(x), e.CDF(x), 1e-9)
+		s, _ := NewConditional(e, age).At(x)
+		return almostEqual(1-s, e.CDF(x), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -75,10 +72,10 @@ func TestWeibullFutureLifetimeFormula(t *testing.T) {
 	f := func(age, x float64) bool {
 		age = math.Abs(math.Mod(age, 5e4))
 		x = math.Abs(math.Mod(x, 5e4))
-		c := NewConditional(w, age)
+		s, _ := NewConditional(w, age).At(x)
 		a, b := w.Shape, w.Scale
 		want := 1 - math.Exp(math.Pow(age/b, a)-math.Pow((age+x)/b, a))
-		return almostEqual(c.CDF(x), want, 1e-10)
+		return almostEqual(1-s, want, 1e-10)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -143,12 +140,16 @@ func TestHyperexpMeanVar(t *testing.T) {
 	if got := h.Mean(); !almostEqual(got, wantMean, 1e-12) {
 		t.Errorf("Mean = %g, want %g", got, wantMean)
 	}
-	wantM2 := 2 * (0.25/(0.1*0.1) + 0.75/(0.01*0.01))
-	if got := h.Var(); !almostEqual(got, wantM2-wantMean*wantMean, 1e-12) {
-		t.Errorf("Var = %g, want %g", got, wantM2-wantMean*wantMean)
+	// E[X²] = 2∫₀^∞ u·S(u) du = 2∫₀^∞ SI(x) dx, so the survival
+	// integral must reproduce the closed-form variance
+	// 2Σᵢ pᵢ/λᵢ² − (Σᵢ pᵢ/λᵢ)². The slow phase is e^(−50) down at 5000.
+	wantVar := 2*(0.25/(0.1*0.1)+0.75/(0.01*0.01)) - wantMean*wantMean
+	gotVar := 2*quadrature(h.SurvivalIntegral, 0, 5000) - h.Mean()*h.Mean()
+	if !almostEqual(gotVar, wantVar, 1e-9) {
+		t.Errorf("Var via SurvivalIntegral = %g, want %g", gotVar, wantVar)
 	}
 	// Hyperexponentials always have coefficient of variation >= 1.
-	if h.Var() < h.Mean()*h.Mean() {
+	if gotVar < h.Mean()*h.Mean() {
 		t.Error("hyperexponential CV must be >= 1")
 	}
 }
@@ -160,13 +161,13 @@ func TestHyperexpFutureLifetimeFormula(t *testing.T) {
 	f := func(age, x float64) bool {
 		age = math.Abs(math.Mod(age, 2e4))
 		x = math.Abs(math.Mod(x, 2e4))
-		c := NewConditional(h, age)
+		s, _ := NewConditional(h, age).At(x)
 		num, den := 0.0, 0.0
 		for i := range h.P {
 			num += h.P[i] * math.Exp(-h.Lambda[i]*(age+x))
 			den += h.P[i] * math.Exp(-h.Lambda[i]*age)
 		}
-		return almostEqual(c.CDF(x), 1-num/den, 1e-10)
+		return almostEqual(1-s, 1-num/den, 1e-10)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -178,9 +179,9 @@ func TestHyperexpConditionalShiftsTowardSlowPhase(t *testing.T) {
 	// slow phase, so the mean residual life must increase toward the
 	// slow phase mean.
 	h := NewHyperexponential([]float64{0.9, 0.1}, []float64{0.1, 0.001})
-	m0 := MeanResidualLife(h, 0)
-	m1 := MeanResidualLife(h, 100)
-	m2 := MeanResidualLife(h, 5000)
+	m0 := meanResidualLife(h, 0)
+	m1 := meanResidualLife(h, 100)
+	m2 := meanResidualLife(h, 5000)
 	if !(m0 < m1 && m1 < m2) {
 		t.Errorf("MRL not increasing: %g, %g, %g", m0, m1, m2)
 	}
@@ -220,10 +221,11 @@ func TestConditionalAgeZeroIsBase(t *testing.T) {
 	} {
 		c := NewConditional(base, 0)
 		for _, x := range []float64{0.5, 30, 700} {
-			if !almostEqual(c.CDF(x), base.CDF(x), 1e-12) {
+			s, pm := c.At(x)
+			if !almostEqual(s, base.Survival(x), 1e-12) {
 				t.Errorf("%s: conditional at age 0 differs at %g", base.Name(), x)
 			}
-			if !almostEqual(c.PartialMoment(x), base.PartialMoment(x), 1e-10) {
+			if !almostEqual(pm, base.PartialMoment(x), 1e-10) {
 				t.Errorf("%s: conditional PM at age 0 differs at %g", base.Name(), x)
 			}
 		}
@@ -231,86 +233,52 @@ func TestConditionalAgeZeroIsBase(t *testing.T) {
 }
 
 func TestConditionalNegativeAgeClamped(t *testing.T) {
-	c := NewConditional(NewExponential(1), -5)
-	if c.Age != 0 {
-		t.Errorf("negative age not clamped: %g", c.Age)
+	base := NewWeibull(0.43, 3409)
+	neg, zero := NewConditional(base, -5), NewConditional(base, 0)
+	if neg.AgeSurvival() != 1 {
+		t.Errorf("negative age not clamped: S(age) = %g", neg.AgeSurvival())
 	}
+	for _, x := range []float64{1, 600, 1e5} {
+		s, pm := neg.At(x)
+		s0, pm0 := zero.At(x)
+		if s != s0 || pm != pm0 {
+			t.Errorf("At(%g) at age −5 = (%g, %g), at age 0 (%g, %g)", x, s, pm, s0, pm0)
+		}
+	}
+}
+
+// conditionalQuantile inverts F_t through the base quantile,
+// F_t⁻¹(p) = F⁻¹(F(t) + p·S(t)) − t: the independent route to the
+// conditional law the tests below check At against.
+func conditionalQuantile(base Distribution, age, p float64) float64 {
+	return base.Quantile(base.CDF(age)+p*base.Survival(age)) - age
 }
 
 func TestConditionalQuantileRoundTrip(t *testing.T) {
-	c := NewConditional(NewWeibull(0.43, 3409), 2500)
+	base := NewWeibull(0.43, 3409)
+	c := NewConditional(base, 2500)
 	for _, p := range []float64{0.05, 0.3, 0.5, 0.8, 0.99} {
-		x := c.Quantile(p)
-		if got := c.CDF(x); !almostEqual(got, p, 1e-8) {
-			t.Errorf("CDF(Quantile(%g)) = %g", p, got)
+		s, _ := c.At(conditionalQuantile(base, 2500, p))
+		if got := 1 - s; !almostEqual(got, p, 1e-8) {
+			t.Errorf("F_t(Quantile(%g)) = %g", p, got)
 		}
 	}
 }
 
+// TestConditionalRandSampling draws remaining lifetimes by inverse
+// transform and compares the sample mean of min(X_t, span) with
+// E[min(X_t, span)] = PM_t(span) + span·S_t(span) from At.
 func TestConditionalRandSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := NewConditional(NewWeibull(0.43, 3409), 1000)
-	const n = 100000
+	base := NewWeibull(0.43, 3409)
+	c := NewConditional(base, 1000)
+	const n, span = 100000, 5000.0
 	sum := 0.0
 	for range n {
-		sum += c.Rand(rng)
+		sum += math.Min(conditionalQuantile(base, 1000, rng.Float64()), span)
 	}
-	if got := sum / n; !almostEqual(got, c.Mean(), 0.1) {
-		t.Errorf("conditional sample mean %g, analytic %g", got, c.Mean())
+	s, pm := c.At(span)
+	if got, want := sum/n, pm+span*s; !almostEqual(got, want, 0.01) {
+		t.Errorf("conditional sample mean of min(X_t, %g) = %g, analytic %g", span, got, want)
 	}
-}
-
-func TestEmpiricalCDFAndKS(t *testing.T) {
-	e := NewEmpirical([]float64{3, 1, 2, 2, 5})
-	if e.N() != 5 {
-		t.Errorf("N = %d", e.N())
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.2}, {1.5, 0.2}, {2, 0.6}, {4, 0.8}, {5, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := e.CDF(c.x); !almostEqual(got, c.want, 1e-15) {
-			t.Errorf("CDF(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	if got := e.Mean(); !almostEqual(got, 2.6, 1e-12) {
-		t.Errorf("Mean = %g, want 2.6", got)
-	}
-	// KS distance to the exponential that matches the sample mean.
-	d := e.KSDistance(NewExponential(1 / 2.6))
-	if d <= 0 || d >= 1 {
-		t.Errorf("KS distance out of range: %g", d)
-	}
-	// KS of a perfectly fitting model on a huge sample is small.
-	rng := rand.New(rand.NewSource(1))
-	w := NewWeibull(0.8, 100)
-	sample := make([]float64, 20000)
-	for i := range sample {
-		sample[i] = w.Rand(rng)
-	}
-	if d := NewEmpirical(sample).KSDistance(w); d > 0.02 {
-		t.Errorf("KS of true model = %g, want < 0.02", d)
-	}
-}
-
-func TestEmpiricalQuantile(t *testing.T) {
-	e := NewEmpirical([]float64{10, 20, 30, 40})
-	if got := e.Quantile(0); got != 10 {
-		t.Errorf("Quantile(0) = %g", got)
-	}
-	if got := e.Quantile(1); got != 40 {
-		t.Errorf("Quantile(1) = %g", got)
-	}
-	if got := e.Quantile(0.5); got != 30 {
-		t.Errorf("Quantile(0.5) = %g, want 30", got)
-	}
-}
-
-func TestEmpiricalPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewEmpirical(nil) should panic")
-		}
-	}()
-	NewEmpirical(nil)
 }

@@ -104,16 +104,6 @@ func (h Hyperexponential) Mean() float64 {
 	return sum
 }
 
-// Var returns the variance 2Σᵢ pᵢ/λᵢ² − (Σᵢ pᵢ/λᵢ)².
-func (h Hyperexponential) Var() float64 {
-	m := h.Mean()
-	m2 := 0.0
-	for i := range h.P {
-		m2 += 2 * h.P[i] / (h.Lambda[i] * h.Lambda[i])
-	}
-	return m2 - m*m
-}
-
 // PartialMoment implements Distribution as the weighted sum of
 // per-phase exponential partial moments.
 func (h Hyperexponential) PartialMoment(x float64) float64 {

@@ -81,12 +81,6 @@ func (l LogNormal) Mean() float64 {
 	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
 }
 
-// Var returns (e^(σ²)−1)·e^(2µ+σ²).
-func (l LogNormal) Var() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
 // PartialMoment implements Distribution in closed form:
 //
 //	∫₀ˣ t f(t) dt = e^(µ+σ²/2) · Φ((ln x − µ − σ²)/σ).

@@ -19,10 +19,6 @@ func TestLogNormalKnownValues(t *testing.T) {
 	if got := l.Mean(); !almostEqual(got, math.Exp(0.5), 1e-12) {
 		t.Errorf("mean = %g", got)
 	}
-	// Var = (e−1)e.
-	if got := l.Var(); !almostEqual(got, (math.E-1)*math.E, 1e-12) {
-		t.Errorf("var = %g", got)
-	}
 	// PDF at the median: 1/(1·1·√2π).
 	if got := l.PDF(1); !almostEqual(got, 1/math.Sqrt(2*math.Pi), 1e-12) {
 		t.Errorf("PDF(1) = %g", got)
@@ -53,18 +49,16 @@ func TestLogNormalSurvivalIntegral(t *testing.T) {
 	if got := l.SurvivalIntegral(0); !almostEqual(got, l.Mean(), 1e-12) {
 		t.Errorf("SI(0) = %g, mean %g", got, l.Mean())
 	}
-	// MRL via the closed form must match the generic conditional-mean
-	// route at several ages.
+	// MRL via the closed form must match direct integration of the
+	// conditional survival S(t+u)/S(t) at several ages.
 	for _, age := range []float64{100, 1000, 20000} {
-		mrl := MeanResidualLife(l, age)
-		c := NewConditional(l, age)
-		// Direct numeric check through the conditional quantile range.
-		hi := c.Quantile(1 - 1e-10)
+		mrl := meanResidualLife(l, age)
+		hi := conditionalQuantile(l, age, 1-1e-10)
 		const steps = 400000
 		h := hi / steps
 		direct := 0.0
 		for i := 0; i < steps; i++ {
-			direct += c.Survival((float64(i) + 0.5) * h)
+			direct += l.Survival(age+(float64(i)+0.5)*h) / l.Survival(age)
 		}
 		direct *= h
 		if !almostEqual(mrl, direct, 1e-2) {
@@ -104,9 +98,9 @@ func TestLogNormalIncreasingThenDecreasingHazard(t *testing.T) {
 	// Lognormal hazard rises to a peak then falls — unlike any Weibull
 	// — which is why it behaves differently in model selection.
 	l := NewLogNormal(0, 1)
-	h1 := Hazard(l, 0.2)
-	h2 := Hazard(l, 1.0)
-	h3 := Hazard(l, 50.0)
+	h1 := hazard(l, 0.2)
+	h2 := hazard(l, 1.0)
+	h3 := hazard(l, 50.0)
 	if !(h2 > h1) || !(h3 < h2) {
 		t.Errorf("hazard shape wrong: %g, %g, %g", h1, h2, h3)
 	}
@@ -122,10 +116,6 @@ func TestLogNormalPanics(t *testing.T) {
 }
 
 func TestLogNormalWorksInConditional(t *testing.T) {
-	c := NewConditional(NewLogNormal(6.5, 1.2), 2000)
-	pm := c.PartialMoment(500)
-	want := NumericPartialMoment(c, 500)
-	if !almostEqual(pm, want, 1e-5) {
-		t.Errorf("conditional PM = %g, quadrature %g", pm, want)
-	}
+	l := NewLogNormal(6.5, 1.2)
+	checkConditionalQuadrature(t, l, 2000, 500)
 }

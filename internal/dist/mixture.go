@@ -108,18 +108,17 @@ func (m Mixture) PartialMoment(x float64) float64 {
 	return sum
 }
 
-// SurvivalIntegral implements SurvivalIntegraler when every component
-// does; otherwise it falls back to the numeric route via
-// MeanResidualLife on the offending component.
+// SurvivalIntegral implements SurvivalIntegraler as the weighted sum
+// of the components' integrals. A component without the capability
+// makes the sum NaN: there is no closed form to fall back on.
 func (m Mixture) SurvivalIntegral(x float64) float64 {
 	sum := 0.0
 	for i := range m.W {
-		if si, ok := m.Components[i].(SurvivalIntegraler); ok {
-			sum += m.W[i] * si.SurvivalIntegral(x)
-		} else {
-			c := m.Components[i]
-			sum += m.W[i] * MeanResidualLife(c, x) * c.Survival(x)
+		si, ok := m.Components[i].(SurvivalIntegraler)
+		if !ok {
+			return math.NaN()
 		}
+		sum += m.W[i] * si.SurvivalIntegral(x)
 	}
 	return sum
 }

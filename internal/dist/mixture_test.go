@@ -56,17 +56,15 @@ func TestMixtureQuantileRoundTrip(t *testing.T) {
 func TestMixtureSurvivalIntegralConsistent(t *testing.T) {
 	m := testMixture()
 	// MRL via SurvivalIntegral must match direct numeric integration
-	// of the conditional survival.
+	// of the conditional survival S(t+u)/S(t).
 	for _, age := range []float64{0, 200, 10000} {
-		mrl := MeanResidualLife(m, age)
-		c := NewConditional(m, age)
-		// Direct: ∫ survival via quadrature over quantile range.
-		hi := c.Quantile(1 - 1e-9)
+		mrl := meanResidualLife(m, age)
+		hi := conditionalQuantile(m, age, 1-1e-9)
 		direct := 0.0
 		const steps = 200000
 		h := hi / steps
 		for i := 0; i < steps; i++ {
-			direct += c.Survival((float64(i) + 0.5) * h)
+			direct += m.Survival(age+(float64(i)+0.5)*h) / m.Survival(age)
 		}
 		direct *= h
 		if !almostEqual(mrl, direct, 5e-3) {
@@ -75,12 +73,23 @@ func TestMixtureSurvivalIntegralConsistent(t *testing.T) {
 	}
 }
 
+// TestMixtureSurvivalIntegralNeedsEveryComponent pins the NaN for a
+// component without the capability: embedding the interface hides
+// Exponential's SurvivalIntegral.
+func TestMixtureSurvivalIntegralNeedsEveryComponent(t *testing.T) {
+	type opaque struct{ Distribution }
+	m := NewMixture([]float64{1, 1}, []Distribution{NewExponential(1), opaque{NewExponential(2)}})
+	if got := m.SurvivalIntegral(1); !math.IsNaN(got) {
+		t.Errorf("SurvivalIntegral with an opaque component = %g, want NaN", got)
+	}
+}
+
 func TestMixtureBimodalMRLGrows(t *testing.T) {
 	// The defining behavior: once a machine survives the interactive
 	// regime, expected remaining life jumps toward the long component.
 	m := testMixture()
-	early := MeanResidualLife(m, 0)
-	late := MeanResidualLife(m, 3600)
+	early := meanResidualLife(m, 0)
+	late := meanResidualLife(m, 3600)
 	if late <= early {
 		t.Errorf("MRL did not grow: %g -> %g", early, late)
 	}
@@ -137,13 +146,26 @@ func TestMixtureConditionalWorks(t *testing.T) {
 	// Mixtures must compose with the future-lifetime machinery used by
 	// the Markov model.
 	m := testMixture()
-	c := NewConditional(m, 1800)
-	if got := c.CDF(0); got != 0 {
-		t.Errorf("conditional CDF(0) = %g", got)
+	if s, pm := NewConditional(m, 1800).At(0); s != 1 || pm != 0 {
+		t.Errorf("conditional At(0) = (%g, %g), want (1, 0)", s, pm)
 	}
-	pm := c.PartialMoment(600)
-	want := NumericPartialMoment(c, 600)
-	if !almostEqual(pm, want, 1e-5) {
-		t.Errorf("conditional PM = %g, quadrature %g", pm, want)
+	checkConditionalQuadrature(t, m, 1800, 600)
+}
+
+// checkConditionalQuadrature compares At(x) of the law conditioned on
+// age with direct integration of the base: S_t(x) = S(t+x)/S(t), and
+// by parts PM_t(x) = ∫₀ˣ S_t(u) du − x·S_t(x), so neither side
+// subtracts unconditional partial moments.
+func checkConditionalQuadrature(t *testing.T, base Distribution, age, x float64) {
+	t.Helper()
+	sAge := base.Survival(age)
+	wantS := base.Survival(age+x) / sAge
+	wantPM := quadrature(func(u float64) float64 { return base.Survival(age+u) / sAge }, 0, x) - x*wantS
+	s, pm := NewConditional(base, age).At(x)
+	if !almostEqual(s, wantS, 1e-12) {
+		t.Errorf("%s age %g: S_t(%g) = %g, direct %g", base.Name(), age, x, s, wantS)
+	}
+	if !almostEqual(pm, wantPM, 1e-5) {
+		t.Errorf("%s age %g: PM_t(%g) = %g, quadrature %g", base.Name(), age, x, pm, wantPM)
 	}
 }

@@ -58,12 +58,10 @@ func TestPointMatchesMethods(t *testing.T) {
 	}
 
 	// The families without the capability go through the three-method
-	// fallback; Conditional over a capable base must not inherit it
-	// (its quantities are not the base's).
+	// fallback.
 	without := []Distribution{
 		testMixture(),
 		NewLogNormal(7, 1.5),
-		NewConditional(NewWeibull(0.43, 3409), 5000),
 	}
 	for _, d := range without {
 		if _, ok := d.(PointEvaluator); ok {
@@ -78,8 +76,9 @@ func TestPointMatchesMethods(t *testing.T) {
 	}
 }
 
-// TestConditionalPartialMomentMatchesFormula pins Conditional's use of
-// Point to the five base-method calls it replaced.
+// TestConditionalPartialMomentMatchesFormula pins Conditional.At, bit
+// for bit, to Eq. 8's formulas over the base methods: the survival
+// ratio and the partial-moment subtraction Γ has always used.
 func TestConditionalPartialMomentMatchesFormula(t *testing.T) {
 	bases := []Distribution{
 		NewExponential(3e-4),
@@ -91,13 +90,18 @@ func TestConditionalPartialMomentMatchesFormula(t *testing.T) {
 		for _, age := range []float64{0, 1, 5000, 1e6, 1e9} {
 			c := NewConditional(b, age)
 			for _, x := range pointAbscissae() {
-				want := 0.0
-				if s := b.Survival(age); !(x <= 0) && s > 0 {
-					dF := b.CDF(age+x) - b.CDF(age)
-					want = (b.PartialMoment(age+x) - b.PartialMoment(age) - age*dF) / s
+				wantS, wantPM := 1.0, 0.0
+				if s := b.Survival(age); !(x <= 0) {
+					wantS = 0
+					if s > 0 {
+						wantS = b.Survival(age+x) / s
+						dF := b.CDF(age+x) - b.CDF(age)
+						wantPM = (b.PartialMoment(age+x) - b.PartialMoment(age) - age*dF) / s
+					}
 				}
-				if got := c.PartialMoment(x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("%s: PartialMoment(%g) = %g, formula gives %g", c.Name(), x, got, want)
+				s, pm := c.At(x)
+				if math.Float64bits(s) != math.Float64bits(wantS) || math.Float64bits(pm) != math.Float64bits(wantPM) {
+					t.Errorf("%s age %g: At(%g) = (%g, %g), formula gives (%g, %g)", b.Name(), age, x, s, pm, wantS, wantPM)
 				}
 			}
 		}

@@ -81,13 +81,6 @@ func (w Weibull) Mean() float64 {
 	return w.Scale * math.Gamma(1+1/w.Shape)
 }
 
-// Var returns the variance β²[Γ(1+2/α) − Γ(1+1/α)²].
-func (w Weibull) Var() float64 {
-	g1 := math.Gamma(1 + 1/w.Shape)
-	g2 := math.Gamma(1 + 2/w.Shape)
-	return w.Scale * w.Scale * (g2 - g1*g1)
-}
-
 // PartialMoment implements Distribution. Substituting u = (t/β)^α,
 //
 //	∫₀ˣ t f(t) dt = β · γ(1 + 1/α, (x/β)^α)

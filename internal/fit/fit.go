@@ -267,13 +267,26 @@ func KS(model dist.Distribution, data []float64) float64 {
 	if err != nil {
 		return math.NaN()
 	}
-	return dist.NewEmpirical(xs).KSDistance(model)
+	sort.Float64s(xs)
+	n := float64(len(xs))
+	maxD := 0.0
+	for i, x := range xs {
+		fm := model.CDF(x)
+		lo := float64(i) / n // empirical CDF just below x
+		hi := float64(i+1) / n
+		if d := fm - lo; d > maxD {
+			maxD = d
+		}
+		if d := hi - fm; d > maxD {
+			maxD = d
+		}
+	}
+	return maxD
 }
 
 // NumParams returns the number of free parameters of the supported
 // families (used by AIC/BIC): 1 for exponential, 2 for Weibull, 2k−1
-// for a k-phase hyperexponential. Conditioned distributions report
-// their base's count. Unknown families report 0.
+// for a k-phase hyperexponential. Unknown families report 0.
 func NumParams(d dist.Distribution) int {
 	switch v := d.(type) {
 	case dist.Exponential:
@@ -284,8 +297,6 @@ func NumParams(d dist.Distribution) int {
 		return 2
 	case dist.Hyperexponential:
 		return 2*v.Phases() - 1
-	case dist.Conditional:
-		return NumParams(v.Base)
 	default:
 		return 0
 	}

@@ -159,6 +159,37 @@ func TestWeibullDegenerateSample(t *testing.T) {
 	}
 }
 
+// TestKSDistance checks KS against the supremum written out by hand:
+// at each distinct sample value the empirical CDF jumps from its left
+// to its right limit, and the distance is largest at one of them.
+func TestKSDistance(t *testing.T) {
+	data := []float64{3, 1, 2, 2, 5}
+	model := dist.NewExponential(1 / 2.6)
+	jumps := []struct{ x, left, right float64 }{
+		{1, 0, 0.2}, {2, 0.2, 0.6}, {3, 0.6, 0.8}, {5, 0.8, 1},
+	}
+	want := 0.0
+	for _, j := range jumps {
+		f := model.CDF(j.x)
+		want = math.Max(want, math.Max(f-j.left, j.right-f))
+	}
+	if got := KS(model, data); !almostEqual(got, want, 1e-15) {
+		t.Errorf("KS = %g, want %g", got, want)
+	}
+	if !slices.Equal(data, []float64{3, 1, 2, 2, 5}) {
+		t.Errorf("KS reordered its input: %v", data)
+	}
+	// The true model on a large sample is close (a scale far above
+	// DurationFloor, so clean's floor moves almost no mass).
+	w := dist.NewWeibull(0.8, 1e4)
+	if d := KS(w, sample(w, 20000, 1)); d > 0.02 {
+		t.Errorf("KS of true model = %g, want < 0.02", d)
+	}
+	if !math.IsNaN(KS(w, nil)) {
+		t.Error("KS of an empty sample should be NaN")
+	}
+}
+
 func TestWeibullBeatsExponentialOnHeavyTail(t *testing.T) {
 	truth := dist.NewWeibull(0.43, 3409)
 	xs := sample(truth, 3000, 5)
@@ -416,19 +447,19 @@ func TestNumParams(t *testing.T) {
 	if got := NumParams(h3); got != 5 {
 		t.Errorf("hyperexp3 params = %d", got)
 	}
-	if got := NumParams(dist.NewConditional(h3, 5)); got != 5 {
-		t.Errorf("conditional params = %d", got)
+	mix := dist.NewMixture([]float64{1, 1}, []dist.Distribution{h3, dist.NewWeibull(1, 1)})
+	if got := NumParams(mix); got != 0 {
+		t.Errorf("mixture (unknown family) params = %d, want 0", got)
 	}
 }
 
 func TestLogLikelihoodInfForImpossibleData(t *testing.T) {
 	// A fitted distribution should never assign zero density to
 	// in-range data, but Weibull shape>1 has zero density only at 0,
-	// which clean() clamps away; construct impossibility via an
-	// unsupported point by using a conditional at huge age where
-	// survival underflows.
-	c := dist.NewConditional(dist.NewWeibull(3, 10), 1e9)
-	if got := LogLikelihood(c, []float64{5}); !math.IsInf(got, -1) {
+	// which clean() clamps away; construct impossibility far in the
+	// light tail instead, where e^(−(x/β)^α) underflows to zero.
+	w := dist.NewWeibull(3, 10)
+	if got := LogLikelihood(w, []float64{1e4}); !math.IsInf(got, -1) {
 		t.Errorf("expected -Inf log-likelihood, got %g", got)
 	}
 }

@@ -103,6 +103,27 @@ func TestConstantCostFnMatchesNil(t *testing.T) {
 	}
 }
 
+// TestExpectedImagesReadsCostFn pins ExpectedImagesPerCommit to C(T),
+// as At is: a curve returning c′ must give bitwise the images of a
+// constant model with C = L = c′, mid-checkpoint window included.
+func TestExpectedImagesReadsCostFn(t *testing.T) {
+	const cPrime = 400.0
+	costs := mustCosts(t, 100, 100, 100)
+	for _, d := range costFnDists() {
+		curve := Model{Avail: d, Costs: costs, CostFn: func(float64) float64 { return cPrime }}
+		constant := Model{Avail: d, Costs: Costs{C: cPrime, R: costs.R, L: cPrime}}
+		for _, age := range []float64{0, 250, 3409, 20000} {
+			for _, T := range []float64{30, 500, 2500} {
+				got, want := curve.ExpectedImagesPerCommit(T, age), constant.ExpectedImagesPerCommit(T, age)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s T=%g age=%g: images with CostFn %v, with C = L = %g %v",
+						d.Name(), T, age, got, cPrime, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCostFnSanitization pins costAt's fallback ladder: non-finite and
 // non-positive curve values resolve to the constant C (bitwise: the
 // whole model behaves as if no curve were set), and finite positive

@@ -141,16 +141,16 @@ type Transitions struct {
 // resource has been available for age seconds. T must be positive.
 func (m Model) At(T, age float64) Transitions {
 	var tr Transitions
-	c := dist.NewConditional(m.Avail, age)
 	ckptC, ckptL := m.costAt(T)
 
 	// State 0 under the future-lifetime distribution.
 	span0 := ckptC + T
-	tr.P01 = c.Survival(span0)
+	var pm float64
+	tr.P01, pm = dist.NewConditional(m.Avail, age).At(span0)
 	tr.K01 = span0
 	tr.P02 = 1 - tr.P01
 	if tr.P02 > 0 {
-		tr.K02 = c.PartialMoment(span0) / tr.P02
+		tr.K02 = pm / tr.P02
 	}
 
 	// State 2 under the unconditional distribution (age has reset).
@@ -289,7 +289,7 @@ const warmMinSurvival = 1e-6
 func (m Model) toptWarm(age, prev float64, opts OptimizeOptions) (T, ratio float64, evals uint64, ok bool) {
 	opts.setDefaults()
 	e := m.evaluator(age)
-	if !(e.sAge >= warmMinSurvival) {
+	if !(e.cond.AgeSurvival() >= warmMinSurvival) {
 		return 0, 0, 0, false
 	}
 	f := e.ratio
@@ -305,38 +305,30 @@ func (m Model) toptWarm(age, prev float64, opts OptimizeOptions) (T, ratio float
 	return T, ratio, n, true
 }
 
-// gammaEvaluator computes Γ(T) at one fixed resource age with the
-// age-constant base-distribution terms — S(age), F(age), and the
-// partial moment PM(age) — hoisted out of the per-T inner loop: every
-// T_opt search probes Γ dozens of times at the same age. What is left
-// per probe is two dist.Point evaluations of the base law, one at
-// age+span0 and one at span2, each a single pass over the family's
-// exponentials or powers.
+// gammaEvaluator computes Γ(T) at one fixed resource age. Its
+// dist.Conditional evaluates the base law at the age once, outside
+// the per-T loop: every T_opt search probes Γ dozens of times at the
+// same age. What is left per probe is two dist.Point evaluations of
+// the base law, one at age+span0 (inside Conditional.At) and one at
+// span2, each a single pass over the family's exponentials or powers.
 //
 // The arithmetic below reproduces Model.Gamma exactly: the same
-// base-distribution values (dist.Point returns the three methods'
-// results bit for bit) combined by the same expressions in the same
-// order (compare At and dist.Conditional), so optimizers driven by the
-// evaluator return bit-identical abscissae and ratios. That invariant
-// is what lets the caching claim "identical table and figure numbers";
-// any change here must preserve it or the determinism tests fail.
+// state-0 values (At is the one source of both) and the same state-2
+// base values (dist.Point returns the three methods' results bit for
+// bit), combined by the same expressions in the same order, so
+// optimizers driven by the evaluator return bit-identical abscissae
+// and ratios. That invariant is what lets the caching claim "identical
+// table and figure numbers"; any change here must preserve it or the
+// determinism tests fail.
 type gammaEvaluator struct {
-	m      Model
-	age    float64
-	sAge   float64 // base Survival(age)
-	cdfAge float64 // base CDF(age)
-	pmAge  float64 // base PartialMoment(age)
+	m    Model
+	cond dist.Conditional
 }
 
 // evaluator precomputes the age-fixed quantities for Γ evaluation at
-// the given age (clamped to zero like dist.NewConditional).
+// the given age (clamped to zero by dist.NewConditional).
 func (m Model) evaluator(age float64) gammaEvaluator {
-	if age < 0 {
-		age = 0
-	}
-	e := gammaEvaluator{m: m, age: age}
-	e.sAge, e.cdfAge, e.pmAge = dist.Point(m.Avail, age)
-	return e
+	return gammaEvaluator{m: m, cond: dist.NewConditional(m.Avail, age)}
 }
 
 // gamma evaluates Γ(T) with the cached age terms; it mirrors
@@ -348,19 +340,11 @@ func (e gammaEvaluator) gamma(T float64) float64 {
 	m := e.m
 	ckptC, ckptL := m.costAt(T)
 
-	// State 0 under the future-lifetime distribution. span0 > 0, so
-	// the x<=0 guards of dist.Conditional never fire here. pm is the
-	// conditional partial moment at span0; a resource already certain
-	// to have failed (S(age) = 0) has P01 = 0 and pm = 0.
+	// State 0 under the future-lifetime distribution; pm is the
+	// conditional partial moment at span0.
 	span0 := ckptC + T
 	K01 := span0
-	var P01, pm float64
-	if e.sAge > 0 {
-		s0, cdf0, pm0 := dist.Point(m.Avail, e.age+span0)
-		P01 = s0 / e.sAge
-		dF := cdf0 - e.cdfAge
-		pm = (pm0 - e.pmAge - e.age*dF) / e.sAge
-	}
+	P01, pm := e.cond.At(span0)
 	P02 := 1 - P01
 	if P02 <= 0 {
 		return K01

@@ -109,18 +109,31 @@ func TestGammaInvalidT(t *testing.T) {
 	}
 }
 
+// remainingLife draws the remaining lifetime of a resource that has
+// been available for age seconds, by inverse transform through the
+// base quantile: F_t⁻¹(u) = F⁻¹(F(t) + u·S(t)) − t. It reads only the
+// base law's CDF, Survival and Quantile, so the Monte Carlo oracles
+// below stay independent of dist.Conditional, which Γ uses.
+func remainingLife(d dist.Distribution, age float64, rng *rand.Rand) float64 {
+	u := rng.Float64()
+	s := d.Survival(age)
+	if u <= 0 || s <= 0 {
+		return 0
+	}
+	return d.Quantile(d.CDF(age)+u*s) - age
+}
+
 // monteCarloGamma estimates the expected time to commit one interval
 // by direct simulation of the chain the equations describe: the first
 // attempt needs C+T uninterrupted under the age-conditioned law; each
 // retry needs L+R+T uninterrupted under the unconditional law.
 func monteCarloGamma(m Model, T, age float64, n int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
-	cond := dist.NewConditional(m.Avail, age)
 	span0 := m.Costs.C + T
 	span2 := m.Costs.L + m.Costs.R + T
 	total := 0.0
 	for range n {
-		life := cond.Rand(rng)
+		life := remainingLife(m.Avail, age, rng)
 		if life >= span0 {
 			total += span0
 			continue

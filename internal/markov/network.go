@@ -1,6 +1,10 @@
 package markov
 
-import "math"
+import (
+	"math"
+
+	"github.com/cycleharvest/ckptsched/internal/dist"
+)
 
 // ExpectedImagesPerCommit returns the expected number of checkpoint-
 // image-equivalents that cross the network per committed work interval
@@ -10,7 +14,8 @@ import "math"
 //     interval (whichever attempt succeeds);
 //   - a partial image when the initial attempt fails during its
 //     checkpoint phase (failure time τ ∈ (T, T+C] under F_age), with
-//     expected fraction (E[τ|mid-checkpoint]−T)/C;
+//     expected fraction (E[τ|mid-checkpoint]−T)/C, where C is C(T)
+//     when the model has a CostFn, as in At;
 //   - one recovery transfer per retry leg — full if the (unconditional)
 //     failure time exceeds R, otherwise the prorated fraction
 //     PM(R)/R·(1/F(R))·F(R) = PM(R)/R — with E[retries] = P02/P21.
@@ -32,13 +37,17 @@ func (m Model) ExpectedImagesPerCommit(T, age float64) float64 {
 	images := 1.0
 
 	// Partial checkpoint on the initial attempt. Failure times within
-	// (T, C+T] under the age-conditioned law.
-	if m.Costs.C > 0 {
-		c := conditionalQuantities{m: m, age: age}
-		pMid := c.cdf(m.Costs.C+T) - c.cdf(T)
+	// (T, C(T)+T] under the age-conditioned law.
+	if ckptC, _ := m.costAt(T); ckptC > 0 {
+		cond := dist.NewConditional(m.Avail, age)
+		sT, pmT := cond.At(T)
+		sEnd, pmEnd := cond.At(ckptC + T)
+		// F_t(C+T) − F_t(T), kept as a difference of CDFs: sT − sEnd
+		// rounds differently, and testdata/gamma.golden pins this form.
+		pMid := (1 - sEnd) - (1 - sT)
 		if pMid > 1e-300 {
-			eMid := (c.partialMoment(m.Costs.C+T) - c.partialMoment(T)) / pMid
-			frac := (eMid - T) / m.Costs.C
+			eMid := (pmEnd - pmT) / pMid
+			frac := (eMid - T) / ckptC
 			if frac > 0 {
 				images += pMid * math.Min(frac, 1)
 			}
@@ -65,31 +74,4 @@ func (m Model) ExpectedBandwidthRate(T, age float64) float64 {
 		return math.Inf(1)
 	}
 	return m.ExpectedImagesPerCommit(T, age) / g
-}
-
-// conditionalQuantities avoids re-allocating dist.Conditional wrappers
-// in the hot path.
-type conditionalQuantities struct {
-	m   Model
-	age float64
-}
-
-func (c conditionalQuantities) cdf(x float64) float64 {
-	s := c.m.Avail.Survival(c.age)
-	if s <= 0 {
-		return 1
-	}
-	return 1 - c.m.Avail.Survival(c.age+x)/s
-}
-
-func (c conditionalQuantities) partialMoment(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	s := c.m.Avail.Survival(c.age)
-	if s <= 0 {
-		return 0
-	}
-	dF := (c.m.Avail.CDF(c.age+x) - c.m.Avail.CDF(c.age))
-	return (c.m.Avail.PartialMoment(c.age+x) - c.m.Avail.PartialMoment(c.age) - c.age*dF) / s
 }

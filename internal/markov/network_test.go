@@ -15,12 +15,11 @@ import (
 // L+R+T starting with a recovery of R under the unconditional law.
 func monteCarloImages(m Model, T, age float64, n int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
-	cond := dist.NewConditional(m.Avail, age)
 	C, R := m.Costs.C, m.Costs.R
 	span2 := m.Costs.L + R + T
 	total := 0.0
 	for range n {
-		life := cond.Rand(rng)
+		life := remainingLife(m.Avail, age, rng)
 		if life >= T+C {
 			total += 1 // committed checkpoint
 			continue

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -262,4 +264,46 @@ func TestAttrIntExactRoundTrip(t *testing.T) {
 			t.Errorf("%s: ratio = %v (%T), want 0.25 (float64)", name, v, v)
 		}
 	}
+}
+
+// FuzzReadTrace feeds ReadTrace arbitrary bytes. It must never panic,
+// and any trace it accepts must write back in both formats and read
+// back from either as the same events.
+func FuzzReadTrace(f *testing.F) {
+	tr := NewTracer(TracerOptions{FullFidelity: true, Clock: func() float64 { return 0 }})
+	tr.SpanAt(3, 1, "transfer", 10, 110.25, AttrInt("seq", 7), AttrStr("kind", "recovery"), AttrFloat("mb", 0.5))
+	tr.EventAt(3, 1, "retry", 120, AttrBool("resumed", true))
+	for _, write := range []func(io.Writer, []TraceEvent) error{WriteChromeTrace, WriteTraceJSONL} {
+		var buf bytes.Buffer
+		if err := write(&buf, tr.Events()); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(`[{"name":"c","ph":"C","ts":1,"pid":0,"tid":0,"args":{"n":1.5e3,"o":{"k":[1]}}}]`))
+	f.Add([]byte(`{"name":"x","ph":"I","ts":-0,"pid":1,"tid":2}` + "\n" + `{"ph":"X","ts":2,"dur":1e-7}`))
+	f.Add([]byte("nonsense"))
+	f.Add([]byte(" \n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var reread [2][]TraceEvent
+		for i, write := range []func(io.Writer, []TraceEvent) error{WriteChromeTrace, WriteTraceJSONL} {
+			var buf bytes.Buffer
+			if err := write(&buf, evs); err != nil {
+				t.Fatalf("writer %d rejected an accepted trace: %v", i, err)
+			}
+			if reread[i], err = ReadTrace(&buf); err != nil {
+				t.Fatalf("writer %d output does not read back: %v\n%s", i, err, buf.Bytes())
+			}
+		}
+		// An empty trace reads back as nil from JSONL and as an empty
+		// slice from Chrome JSON; both are no events.
+		if len(reread[0]) != len(evs) || len(reread[1]) != len(evs) ||
+			len(evs) > 0 && !reflect.DeepEqual(reread[0], reread[1]) {
+			t.Fatalf("chrome and jsonl round trips differ:\n%+v\n%+v", reread[0], reread[1])
+		}
+	})
 }
