@@ -85,7 +85,7 @@ func main() {
 	}
 
 	err = cliflag.Diagnose("ckpt-experiments", *cpuprofile, *memprofile, *statsDump,
-		[]func(*obs.Registry){fit.Instrument, markov.Instrument, parallel.Instrument, predict.Instrument},
+		[]func(*obs.Registry){fit.Instrument, markov.Instrument, parallel.Instrument},
 		func() error {
 			return cliflag.Traced(*tracePath, func(tracer *obs.Tracer) error {
 				p.Tracer = tracer

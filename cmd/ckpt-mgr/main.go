@@ -10,11 +10,11 @@
 //	ckpt-mgr -addr :7419 -archive traces.csv -model weibull -metrics 127.0.0.1:9090 -trace out.json
 //
 // With -metrics, the manager serves its live counters as a Prometheus
-// text page at /metrics, as JSON at /debug/vars (see DESIGN.md §11
-// for the metric-name contract), a liveness probe at /healthz, and
-// the flight recorder's last-N trace events as Chrome-trace JSON at
-// /debug/trace/snapshot. The HTTP server shuts down gracefully when
-// the manager closes.
+// text page at /metrics (see DESIGN.md §11 for the metric-name
+// contract), their windowed history as JSON at /metrics/history, a
+// liveness probe at /healthz, and the flight recorder's last-N trace
+// events as Chrome-trace JSON at /debug/trace/snapshot. The HTTP
+// server shuts down gracefully when the manager closes.
 //
 // With -trace, every session's timeline (transfers, retries, torn
 // frames, heartbeats, chaos injections) is written to the file on
@@ -30,7 +30,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -66,7 +65,7 @@ func main() {
 	faultReset := flag.Int64("fault-reset-bytes", 0, "fault injection: reset each armed connection after N bytes")
 	faultEvery := flag.Int("fault-reset-every", 1, "fault injection: arm the reset on every Nth connection")
 	faultSeed := flag.Int64("fault-seed", 1, "fault injection: deterministic seed")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus /metrics, expvar /debug/vars, /healthz and /debug/trace/snapshot on this address (e.g. 127.0.0.1:9090)")
+	metricsAddr := flag.String("metrics", "", "serve Prometheus /metrics, /metrics/history, /healthz and /debug/trace/snapshot on this address (e.g. 127.0.0.1:9090)")
 	historyWindow := flag.Duration("history-window", time.Second, "windowed-metrics scrape cadence for /metrics/history (0 disables; needs -metrics)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -metrics address")
 	flag.Parse()
@@ -82,9 +81,6 @@ func main() {
 		opts.Metrics = reg
 		fit.Instrument(reg)
 		imagestore.Instrument(reg)
-		if expvar.Get("ckptsched") == nil {
-			obs.PublishExpvar("ckptsched", reg)
-		}
 	}
 	// The flight recorder runs whenever anyone can see it: with -trace
 	// (full-fidelity file sink) or with -metrics (ring snapshot at
@@ -111,7 +107,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ckpt-mgr: metrics listener:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("metrics on http://%s/metrics (windowed history at /metrics/history, expvar at /debug/vars, liveness at /healthz, flight recorder at /debug/trace/snapshot)\n", ms.Addr())
+		fmt.Printf("metrics on http://%s/metrics (windowed history at /metrics/history, liveness at /healthz, flight recorder at /debug/trace/snapshot)\n", ms.Addr())
 	}
 	if *faultDrop > 0 || *faultCorrupt > 0 || *faultReset > 0 {
 		fi := ckptnet.NewFaultInjector(ckptnet.FaultConfig{

@@ -28,8 +28,8 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 // TestMetricsServerEndpoints covers the observability mux: /healthz
-// liveness, Prometheus /metrics, expvar /debug/vars, and the flight
-// recorder snapshot — then a graceful shutdown.
+// liveness, Prometheus /metrics (and no expvar /debug/vars), and the
+// flight recorder snapshot — then a graceful shutdown.
 func TestMetricsServerEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("ckptnet_test_total", "test counter").Add(3)
@@ -74,8 +74,8 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	if code, body := get(t, base+"/metrics"); code != http.StatusOK || !strings.Contains(body, "ckptnet_test_total 3") {
 		t.Errorf("/metrics = %d, missing counter:\n%s", code, body)
 	}
-	if code, _ := get(t, base+"/debug/vars"); code != http.StatusOK {
-		t.Errorf("/debug/vars = %d", code)
+	if code, _ := get(t, base+"/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars = %d, want 404", code)
 	}
 	_, body := get(t, base+"/debug/trace/snapshot")
 	var events []map[string]any

@@ -84,7 +84,7 @@ func main() {
 	}
 
 	err := cliflag.Diagnose("ckpt-parallel", "", "", *statsDump,
-		[]func(*obs.Registry){parallel.Instrument, markov.Instrument, predict.Instrument},
+		[]func(*obs.Registry){parallel.Instrument, markov.Instrument},
 		func() error {
 			return cliflag.Traced(*tracePath, func(tracer *obs.Tracer) error {
 				return run(*workers, *shards, *link, *mb, *hours, *shape, *scale, *seed, *seeds, *maxprocs, policies, tracer)

@@ -28,17 +28,14 @@ type watchOptions struct {
 	once     bool
 }
 
-// watchPanel names one dashboard row: a label, where to find the
-// series, and how to scale it for display.
+// watchPanel names one dashboard row: a label, the series it plots,
+// and how to scale it for display.
 type watchPanel struct {
 	label string
-	// candidates are metric names tried in order — the dashboard works
-	// against both the scheduling service and the checkpoint manager,
-	// which register different planes.
-	candidates []string
-	kind       watchKind
-	scale      float64 // display = value * scale
-	unit       string
+	name  string // metric name
+	kind  watchKind
+	scale float64 // display = value * scale
+	unit  string
 }
 
 type watchKind int
@@ -49,15 +46,17 @@ const (
 	watchHistP99
 )
 
-// watchPanels is the fixed dashboard layout. Panels whose metrics the
-// server does not register are skipped, and whatever SLO burn gauges
-// exist are appended dynamically.
+// watchPanels is the fixed dashboard layout, covering both the
+// scheduling service (serve_*) and the checkpoint manager (ckptnet_*).
+// Panels whose metrics the server does not register are skipped, and
+// whatever SLO burn gauges exist are appended dynamically.
 var watchPanels = []watchPanel{
-	{label: "req/s", candidates: []string{"serve_requests_total", "ckptnet_frames_total"}, kind: watchCounter, scale: 1, unit: ""},
-	{label: "interval p99", candidates: []string{"serve_interval_latency_seconds"}, kind: watchHistP99, scale: 1e3, unit: "ms"},
-	{label: "wire MB/s", candidates: []string{"ckptnet_bytes_moved_total"}, kind: watchCounter, scale: 1.0 / (1 << 20), unit: ""},
-	{label: "goroutines", candidates: []string{"go_goroutines"}, kind: watchGauge, scale: 1, unit: ""},
-	{label: "heap MB", candidates: []string{"go_heap_alloc_bytes"}, kind: watchGauge, scale: 1.0 / (1 << 20), unit: ""},
+	{label: "req/s", name: "serve_requests_total", kind: watchCounter, scale: 1},
+	{label: "interval p99", name: "serve_interval_latency_seconds", kind: watchHistP99, scale: 1e3, unit: "ms"},
+	{label: "checkpoints/s", name: "ckptnet_checkpoints_total", kind: watchCounter, scale: 1},
+	{label: "wire MB/s", name: "ckptnet_bytes_moved_total", kind: watchCounter, scale: 1.0 / (1 << 20)},
+	{label: "goroutines", name: "go_goroutines", kind: watchGauge, scale: 1},
+	{label: "heap MB", name: "go_heap_alloc_bytes", kind: watchGauge, scale: 1.0 / (1 << 20)},
 }
 
 func runWatch(opts watchOptions, w io.Writer) error {
@@ -133,23 +132,16 @@ func renderWatch(snap obs.HistorySnapshot, width int, source string) string {
 }
 
 func lookupSeries(snap obs.HistorySnapshot, p watchPanel) ([]float64, bool) {
-	for _, name := range p.candidates {
-		switch p.kind {
-		case watchCounter:
-			if s, ok := snap.Counters[name]; ok {
-				return s, true
-			}
-		case watchGauge:
-			if s, ok := snap.Gauges[name]; ok {
-				return s, true
-			}
-		case watchHistP99:
-			if h, ok := snap.Histograms[name]; ok {
-				return h.P99, true
-			}
-		}
+	switch p.kind {
+	case watchCounter:
+		s, ok := snap.Counters[p.name]
+		return s, ok
+	case watchGauge:
+		s, ok := snap.Gauges[p.name]
+		return s, ok
 	}
-	return nil, false
+	h, ok := snap.Histograms[p.name]
+	return h.P99, ok
 }
 
 // writePanel renders one row: label, sparkline, and the newest value.

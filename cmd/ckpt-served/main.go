@@ -15,7 +15,7 @@
 //	POST /v1/schedule                     {"key","model","data"|"params","c","r","telapsed","horizon","replace"}
 //	GET  /v1/schedule/{key}               full stored schedule
 //	GET  /v1/schedule/{key}/interval?age= current work interval, O(1)
-//	GET  /healthz, /metrics, /metrics/history, /debug/vars, /debug/trace/snapshot
+//	GET  /healthz, /metrics, /metrics/history, /debug/trace/snapshot
 //	GET  /debug/pprof/* (with -pprof)
 //
 // Overloaded routes shed with 429 + Retry-After; SIGINT/SIGTERM drains
@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"os"
@@ -101,9 +100,6 @@ func newService(cfg serviceConfig) (*serve.Server, *obs.Tracer, *obs.History) {
 	reg := obs.NewRegistry()
 	fit.Instrument(reg)
 	markov.Instrument(reg)
-	if expvar.Get("ckptsched") == nil {
-		obs.PublishExpvar("ckptsched", reg)
-	}
 	tracer := obs.NewTracer(obs.TracerOptions{
 		FullFidelity: cfg.fullTrace,
 		Metrics:      reg,

@@ -56,7 +56,7 @@ func TestServiceSmoke(t *testing.T) {
 		t.Fatalf("interval T = %g, want > 0", iv.T)
 	}
 
-	for _, path := range []string{"/healthz", "/metrics", "/metrics/history", "/debug/vars", "/debug/trace/snapshot"} {
+	for _, path := range []string{"/healthz", "/metrics", "/metrics/history", "/debug/trace/snapshot"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -64,6 +64,11 @@ func TestServiceSmoke(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s = %d", path, resp.StatusCode)
 		}
+		resp.Body.Close()
+	}
+	if resp, err := http.Get(base + "/debug/vars"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars = %v, %v; want 404", resp, err)
+	} else {
 		resp.Body.Close()
 	}
 

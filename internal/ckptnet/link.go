@@ -95,7 +95,9 @@ func WideAreaLink() EmulatedLink {
 }
 
 // FixedLink returns a deterministic link with the given transfer
-// duration for size refBytes (useful in tests and ablations).
+// duration for size refBytes. Test seam: no program runs on it; the
+// ckptnet and live tests use it to pin exact transfer times that the
+// calibrated, jittered links cannot.
 func FixedLink(name string, refBytes int64, seconds float64) EmulatedLink {
 	return EmulatedLink{
 		ProfileName: name,

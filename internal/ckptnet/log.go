@@ -122,18 +122,6 @@ func (l *SessionLog) Add(kind EventKind, value float64) int64 {
 	return seq
 }
 
-// LastEvent returns the most recent event, or ok=false for an empty
-// log. Use this (or Summarize) rather than reading Events directly
-// while the session may still be live.
-func (l *SessionLog) LastEvent() (ev LogEvent, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.Events) == 0 {
-		return LogEvent{}, false
-	}
-	return l.Events[len(l.Events)-1], true
-}
-
 // Summary condenses a session log into the quantities the paper's
 // tables aggregate.
 type Summary struct {

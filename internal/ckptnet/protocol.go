@@ -269,7 +269,9 @@ func ReadDataBuf(r io.Reader, n int64) (buf []byte, got int64, crc uint32, err e
 
 // ReadData consumes exactly n raw bytes from r, returning the number
 // actually read (short on error — the partial-transfer measurement the
-// manager records when a process is evicted mid-checkpoint).
+// manager records when a process is evicted mid-checkpoint). Test
+// seam: the manager reads through ReadDataCRC; the wire tests use this
+// CRC-free form to drain raw streams.
 func ReadData(r io.Reader, n int64) (int64, error) {
 	got, _, err := ReadDataCRC(r, n)
 	return got, err

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"github.com/cycleharvest/ckptsched/internal/markov"
 	"github.com/cycleharvest/ckptsched/internal/obs"
 )
 
@@ -78,15 +77,12 @@ func startProfiles(prog, cpuPath, memPath string) (stop func(), err error) {
 }
 
 // Traced runs body under the -trace flag: with a path, body gets a
-// full-fidelity tracer that schedule builds also report to (markov's
-// reserved lanes) and the timeline is written to path once body
+// full-fidelity tracer and the timeline is written to path once body
 // succeeds; with an empty path, body gets nil and nothing is written.
 func Traced(path string, body func(*obs.Tracer) error) error {
 	var tracer *obs.Tracer
 	if path != "" {
 		tracer = obs.NewTracer(obs.TracerOptions{FullFidelity: true})
-		markov.Trace(tracer)
-		defer markov.Trace(nil)
 	}
 	if err := body(tracer); err != nil {
 		return err

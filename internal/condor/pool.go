@@ -278,7 +278,9 @@ func (p *Pool) Remove(j *Job) error {
 }
 
 // Complete marks a running job as voluntarily finished, freeing its
-// machine for the next queued job.
+// machine for the next queued job. Test seam: the monitor's jobs run
+// until reclaimed, so only the matchmaking tests (against the
+// full-scan reference) finish jobs voluntarily.
 func (p *Pool) Complete(j *Job) error {
 	if j.state != JobRunning || j.machine == nil {
 		return fmt.Errorf("condor: job %q is not running", j.Name)
@@ -297,7 +299,8 @@ func (p *Pool) Complete(j *Job) error {
 	return nil
 }
 
-// QueueLen returns the number of jobs waiting for a machine.
+// QueueLen returns the number of jobs waiting for a machine. Test
+// seam: the matchmaking tests compare it with the reference queue.
 func (p *Pool) QueueLen() int { return len(p.queue) }
 
 // RunUntil advances the pool's virtual time to t.

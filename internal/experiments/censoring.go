@@ -7,6 +7,7 @@ import (
 	"github.com/cycleharvest/ckptsched/internal/dist"
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/markov"
+	"github.com/cycleharvest/ckptsched/internal/obs"
 	"github.com/cycleharvest/ckptsched/internal/sim"
 	"github.com/cycleharvest/ckptsched/internal/stats"
 	"github.com/cycleharvest/ckptsched/internal/trace"
@@ -66,6 +67,8 @@ type CensoringConfig struct {
 	Months float64
 	// Seed makes the study deterministic.
 	Seed int64
+
+	lanes buildLanes // schedule-build trace lanes, one per (machine, strategy, model)
 }
 
 func (c *CensoringConfig) setDefaults() {
@@ -194,13 +197,14 @@ func RunCensoring(cfg CensoringConfig) (*CensoringResult, error) {
 			}
 		}
 
-		for _, strategy := range CensoringStrategies {
-			for _, model := range fit.Models {
+		for si, strategy := range CensoringStrategies {
+			for k, model := range fit.Models {
 				d, err := fitWithStrategy(fits, name, strategy, model, durs, flags, trainLong)
 				if err != nil {
 					continue // strategy may be infeasible (e.g. drop leaves nothing)
 				}
-				run, err := sim.RunFitted(d, model, test, simCfg)
+				lane := (i*len(CensoringStrategies)+si)*len(fit.Models) + k
+				run, err := sim.RunFitted(d, model, test, simCfg, cfg.lanes.opts(lane, obs.AttrStr("machine", name)))
 				if err != nil {
 					continue
 				}

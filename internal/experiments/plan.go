@@ -9,6 +9,7 @@ import (
 
 	"github.com/cycleharvest/ckptsched/internal/ckptnet"
 	"github.com/cycleharvest/ckptsched/internal/live"
+	"github.com/cycleharvest/ckptsched/internal/markov"
 	"github.com/cycleharvest/ckptsched/internal/obs"
 	"github.com/cycleharvest/ckptsched/internal/predict"
 )
@@ -54,9 +55,11 @@ type Plan struct {
 	Concurrency int
 	// Stages selects what runs and renders (see SelectStages).
 	Stages []string
-	// Tracer, when set, records every live campaign and schedule build.
-	// Live campaigns take TraceCampaignStride-wide lane blocks in stage
-	// order, counting only the selected stages.
+	// Tracer, when set, records every live campaign, prediction-grid run
+	// and schedule build. Live campaigns and the prediction grid take
+	// TraceCampaignStride-wide lane blocks in stage order, counting only
+	// the selected stages; schedule builds take the lanes buildLanes
+	// names.
 	Tracer *obs.Tracer
 	// Faults, Predict and Policy configure the chaos study; DirtyRate
 	// the delta study.
@@ -99,6 +102,34 @@ type Report struct {
 	workloadSec, sweepSec, predictionSec float64
 }
 
+// buildLaneBase puts schedule-build lanes in a band above every live
+// campaign's (at most eight TraceCampaignStride-wide blocks).
+const buildLaneBase = 1 << 20
+
+// buildLanes names the trace lanes of one stage's schedule builds, so
+// that concurrent builds never share a lane and the export is the
+// same at any GOMAXPROCS. The zero value traces nothing.
+type buildLanes struct {
+	tr   *obs.Tracer
+	base uint64
+}
+
+// buildLanes gives stage a TraceCampaignStride-wide block of build
+// lanes at its index in Stages, so a stage's builds trace on the same
+// lanes whether it runs alone or in "all".
+func (p Plan) buildLanes(stage string) buildLanes {
+	return buildLanes{p.Tracer, buildLaneBase + uint64(slices.Index(Stages, stage))*TraceCampaignStride}
+}
+
+// opts returns the build options of the stage's i-th build (0-based):
+// lane base+i+1, with attrs on the build span.
+func (l buildLanes) opts(i int, attrs ...obs.Attr) markov.ScheduleOptions {
+	if l.tr == nil {
+		return markov.ScheduleOptions{}
+	}
+	return markov.ScheduleOptions{Trace: l.tr, TracePid: l.base + uint64(i) + 1, TraceAttrs: attrs}
+}
+
 func (p Plan) want(names ...string) bool {
 	return slices.ContainsFunc(names, func(n string) bool { return slices.Contains(p.Stages, n) })
 }
@@ -125,11 +156,11 @@ func (p Plan) Run() (*Report, error) {
 	}
 	if err == nil && p.want("figure3", "table1", "figure4", "table3") {
 		start := time.Now()
-		r.Sweep, err = RunSweep(r.Workload, PaperCTimes, PaperCheckpointMB)
+		r.Sweep, err = runSweep(r.Workload, PaperCTimes, PaperCheckpointMB, p.buildLanes("figure3"))
 		r.sweepSec = since(start)
 	}
 	if err == nil && p.want("table2") {
-		r.Table2, err = RunTable2(Table2Config{Seed: p.Seed})
+		r.Table2, err = RunTable2(Table2Config{Seed: p.Seed, lanes: p.buildLanes("table2")})
 	}
 	if err == nil && p.want("table4", "validate") {
 		var camp *live.Campaign
@@ -155,14 +186,14 @@ func (p Plan) Run() (*Report, error) {
 	}
 	if err == nil && p.want("predict") {
 		start := time.Now()
-		r.Prediction, err = RunPrediction(PredictionConfig{Seed: p.Seed + 7, Tracer: p.Tracer})
+		r.Prediction, err = RunPrediction(PredictionConfig{Seed: p.Seed + 7, Tracer: p.Tracer, pidBase: lanes(1)})
 		r.predictionSec = since(start)
 	}
 	if err == nil && p.want("sensitivity") {
-		r.Sensitivity, err = RunSensitivity(SensitivityConfig{Seed: p.Seed})
+		r.Sensitivity, err = RunSensitivity(SensitivityConfig{Seed: p.Seed, lanes: p.buildLanes("sensitivity")})
 	}
 	if err == nil && p.want("censoring") {
-		r.Censoring, err = RunCensoring(CensoringConfig{Machines: max(1, p.Machines/2), Seed: p.Seed})
+		r.Censoring, err = RunCensoring(CensoringConfig{Machines: max(1, p.Machines/2), Seed: p.Seed, lanes: p.buildLanes("censoring")})
 	}
 	if err == nil && p.want("table5") {
 		r.Table5, _, err = RunLiveTable("Table 5: checkpoint manager across the wide area", LiveCampaignConfig{

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"bytes"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/cycleharvest/ckptsched/internal/obs"
 )
 
 func TestSelectStages(t *testing.T) {
@@ -73,5 +77,46 @@ func TestPlanRejectsNonPositiveSizes(t *testing.T) {
 		if _, err := p.Run(); err == nil {
 			t.Errorf("plan %+v ran", p)
 		}
+	}
+}
+
+// TestPlanTraceIndependentOfGOMAXPROCS pins DESIGN §12's contract for
+// the evaluation's timeline: a CI-scale plan's trace, schedule builds
+// included, is the same bytes at GOMAXPROCS 1 and 4. The sweep and the
+// censoring study build schedules concurrently, so this holds only
+// while each build's lane is named by its caller.
+func TestPlanTraceIndependentOfGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the CI-scale plan twice")
+	}
+	render := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p := ciPlan()
+		p.Tracer = obs.NewTracer(obs.TracerOptions{FullFidelity: true})
+		if _, err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := obs.WriteTraceJSONL(&b, p.Tracer.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	serial := render(1)
+	if !bytes.Equal(serial, render(4)) {
+		t.Error("the plan's trace depends on GOMAXPROCS")
+	}
+	events, err := obs.ReadTrace(bytes.NewReader(serial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	for _, ev := range events {
+		if ev.Name == "markov.build_schedule" {
+			builds++
+		}
+	}
+	if builds == 0 {
+		t.Error("the plan's trace holds no schedule builds")
 	}
 }

@@ -37,6 +37,8 @@ type PredictionConfig struct {
 	Policies []parallel.GridPolicy
 	// Tracer, when set, records every cell's engine run.
 	Tracer *obs.Tracer
+
+	pidBase uint64 // the grid's first trace lane is pidBase+1
 }
 
 // PredictionPolicies is the default predictor-quality × policy axis:
@@ -123,6 +125,7 @@ func RunPrediction(cfg PredictionConfig) (*PredictionResult, error) {
 			CheckpointMB: cfg.CheckpointMB,
 			Duration:     cfg.Hours * 3600,
 			Trace:        cfg.Tracer,
+			TracePid:     cfg.pidBase,
 		},
 		Models:   models,
 		Staggers: []parallel.StaggerPolicy{parallel.StaggerNone},

@@ -7,6 +7,7 @@ import (
 	"github.com/cycleharvest/ckptsched/internal/dist"
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/markov"
+	"github.com/cycleharvest/ckptsched/internal/obs"
 	"github.com/cycleharvest/ckptsched/internal/sim"
 	"github.com/cycleharvest/ckptsched/internal/trace"
 )
@@ -25,6 +26,8 @@ type SensitivityConfig struct {
 	Perturbations []float64
 	// Seed drives trace generation.
 	Seed int64
+
+	lanes buildLanes // schedule-build trace lanes, one per build in order
 }
 
 func (c *SensitivityConfig) setDefaults() {
@@ -100,6 +103,11 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 	simCfg := sim.Config{Costs: costs, CheckpointMB: PaperCheckpointMB}
 
 	res := &SensitivityResult{Config: cfg}
+	builds := 0 // the next build's lane index
+	build := func() markov.ScheduleOptions {
+		builds++
+		return cfg.lanes.opts(builds-1, obs.AttrStr("machine", tr.Machine))
+	}
 	// All models share one training prefix; the cache keys it once so a
 	// future parallel variant of the perturbation grid keeps the
 	// fit-once discipline for free.
@@ -113,7 +121,7 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := sim.RunFitted(fitted, model, durations, simCfg)
+		base, err := sim.RunFitted(fitted, model, durations, simCfg, build())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sensitivity baseline %v: %w", model, err)
 		}
@@ -135,7 +143,7 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 					// Degenerate schedule: total failure to make progress
 					// counts as zero efficiency.
 					eff := 0.0
-					if run, err := sim.RunFitted(d, model, durations, simCfg); err == nil {
+					if run, err := sim.RunFitted(d, model, durations, simCfg, build()); err == nil {
 						eff = run.Result.Efficiency()
 					}
 					if eff < cell.Worst {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/markov"
+	"github.com/cycleharvest/ckptsched/internal/obs"
 	"github.com/cycleharvest/ckptsched/internal/sim"
 	"github.com/cycleharvest/ckptsched/internal/stats"
 )
@@ -43,6 +44,13 @@ type Sweep struct {
 // When tasks fail, the error returned is the lowest (C index, machine
 // index) task's, so it does not depend on worker interleaving.
 func RunSweep(w *Workload, ctimes []float64, checkpointMB float64) (*Sweep, error) {
+	return runSweep(w, ctimes, checkpointMB, buildLanes{})
+}
+
+// runSweep is RunSweep with the schedule builds traced: the build of
+// (C index ci, machine mi, model k) takes lane ci·machines·models +
+// mi·models + k of lanes.
+func runSweep(w *Workload, ctimes []float64, checkpointMB float64, lanes buildLanes) (*Sweep, error) {
 	if len(ctimes) == 0 {
 		ctimes = PaperCTimes
 	}
@@ -69,7 +77,7 @@ func RunSweep(w *Workload, ctimes []float64, checkpointMB float64) (*Sweep, erro
 		ci, mi := t/len(w.Data), t%len(w.Data)
 		md := w.Data[mi]
 		costs := markov.Costs{C: ctimes[ci], R: ctimes[ci], L: ctimes[ci]}
-		for _, model := range fit.Models {
+		for k, model := range fit.Models {
 			d, err := fits.Fit(md.Machine, model, md.Train)
 			if err != nil {
 				errs[t] = fmt.Errorf("experiments: %s C=%g %v: fit: %w", md.Machine, ctimes[ci], model, err)
@@ -78,7 +86,7 @@ func RunSweep(w *Workload, ctimes []float64, checkpointMB float64) (*Sweep, erro
 			run, err := sim.RunFitted(d, model, md.Test, sim.Config{
 				Costs:        costs,
 				CheckpointMB: checkpointMB,
-			})
+			}, lanes.opts(t*len(fit.Models)+k, obs.AttrStr("machine", md.Machine)))
 			if err != nil {
 				errs[t] = fmt.Errorf("experiments: %s C=%g %v: %w", md.Machine, ctimes[ci], model, err)
 				return

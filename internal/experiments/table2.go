@@ -6,6 +6,7 @@ import (
 	"github.com/cycleharvest/ckptsched/internal/dist"
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/markov"
+	"github.com/cycleharvest/ckptsched/internal/obs"
 	"github.com/cycleharvest/ckptsched/internal/sim"
 	"github.com/cycleharvest/ckptsched/internal/trace"
 )
@@ -22,6 +23,8 @@ type Table2Config struct {
 	N int
 	// Seed makes the trace deterministic.
 	Seed int64
+
+	lanes buildLanes // schedule-build trace lanes, one per build in order
 }
 
 func (c *Table2Config) setDefaults() {
@@ -106,7 +109,8 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: table2 fit %v: %w", model, err)
 				}
-				run, err := sim.RunFitted(d, model, durations, simCfg)
+				run, err := sim.RunFitted(d, model, durations, simCfg,
+					cfg.lanes.opts(len(res.Cells), obs.AttrStr("machine", tr.Machine)))
 				if err != nil {
 					return nil, fmt.Errorf("experiments: table2 sim %v C=%g: %w", model, ctime, err)
 				}

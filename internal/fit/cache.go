@@ -31,11 +31,10 @@ var ErrKeyReuse = errors.New("fit: cache key reused with different data")
 // machine name) always accompanies the same training sample within one
 // cache's lifetime. The contract is enforced: every call fingerprints
 // its data (FNV-1a over the sample bits) and a key that reappears with
-// a different fingerprint gets ErrKeyReuse — or a panic when the cache
-// was built with PanicOnKeyReuse, for tests that want the stack of the
-// offending call site. In a bounded cache an evicted entry takes its
-// fingerprint with it, so reuse of an evicted key refits silently; the
-// guarantee is per-residency, not per-lifetime.
+// a different fingerprint gets ErrKeyReuse. In a bounded cache an
+// evicted entry takes its fingerprint with it, so reuse of an evicted
+// key refits silently; the guarantee is per-residency, not
+// per-lifetime.
 //
 // Concurrency: safe for concurrent use. The key space is partitioned
 // over power-of-two shards by a hash of (key, model), so callers for
@@ -50,10 +49,9 @@ var ErrKeyReuse = errors.New("fit: cache key reused with different data")
 // than refitting, so a cache shared by a worker pool does each fit
 // exactly once. Fit errors are memoized like results.
 type Cache struct {
-	shards       []cacheShard
-	mask         uint64
-	maxPerShard  int
-	panicOnReuse bool
+	shards      []cacheShard
+	mask        uint64
+	maxPerShard int
 }
 
 // cacheShard is one lock domain, padded out to a 64-byte cache line so
@@ -110,9 +108,6 @@ type CacheOptions struct {
 	// right choice for sweeps, whose key space is the machine list.
 	// A fleet-scale server facing an open-ended key space sets this.
 	MaxEntries int
-	// PanicOnKeyReuse panics instead of returning ErrKeyReuse, for
-	// debugging where the offending call site's stack matters.
-	PanicOnKeyReuse bool
 }
 
 // NewCache returns an empty unbounded fit cache with default sharding.
@@ -150,7 +145,6 @@ func NewCacheOpts(opts CacheOptions) *Cache {
 			c.maxPerShard = 1
 		}
 	}
-	c.panicOnReuse = opts.PanicOnKeyReuse
 	return c
 }
 
@@ -230,11 +224,7 @@ func (c *Cache) Fit(key string, model Model, data []float64) (dist.Distribution,
 		metrics.cacheWaits.Inc()
 	}
 	if ok && !e.sameSlice(data) && e.fp != fingerprint(data) {
-		err := fmt.Errorf("%w: (%q, %v)", ErrKeyReuse, key, model)
-		if c.panicOnReuse {
-			panic(err)
-		}
-		return nil, err
+		return nil, fmt.Errorf("%w: (%q, %v)", ErrKeyReuse, key, model)
 	}
 	e.once.Do(func() {
 		e.d, e.err = Fit(model, data)

@@ -49,24 +49,6 @@ func TestCacheKeyReuse(t *testing.T) {
 	}
 }
 
-func TestCacheKeyReusePanicMode(t *testing.T) {
-	c := NewCacheOpts(CacheOptions{PanicOnKeyReuse: true})
-	if _, err := c.Fit("m", ModelExponential, cacheTestData); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		r := recover()
-		err, ok := r.(error)
-		if !ok || !errors.Is(err, ErrKeyReuse) {
-			t.Fatalf("recover() = %v, want an ErrKeyReuse panic", r)
-		}
-	}()
-	other := append([]float64(nil), cacheTestData...)
-	other[0] = 121
-	c.Fit("m", ModelExponential, other)
-	t.Fatal("expected a panic")
-}
-
 // TestCacheShardInvariance pins that shard count is invisible: every
 // shard count returns the same distributions as a direct Fit.
 func TestCacheShardInvariance(t *testing.T) {

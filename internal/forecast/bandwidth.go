@@ -66,9 +66,3 @@ func (p *BandwidthPredictor) Bandwidth() (float64, error) {
 	}
 	return bw, nil
 }
-
-// BestExpert names the currently winning forecaster.
-func (p *BandwidthPredictor) BestExpert() string {
-	_, name := p.sel.Best()
-	return name
-}

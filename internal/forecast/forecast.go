@@ -281,20 +281,3 @@ func (s *Selector) Predict() (float64, string) {
 	i, name := s.Best()
 	return s.experts[i].Predict(), name
 }
-
-// MAE returns expert i's mean absolute one-step error so far.
-func (s *Selector) MAE(i int) float64 {
-	if s.n == 0 || i < 0 || i >= len(s.experts) {
-		return math.NaN()
-	}
-	return s.absErr[i] / float64(s.n)
-}
-
-// Experts returns the expert names in index order.
-func (s *Selector) Experts() []string {
-	out := make([]string, len(s.experts))
-	for i, e := range s.experts {
-		out[i] = e.Name()
-	}
-	return out
-}

@@ -133,12 +133,13 @@ func TestSelectorNearOracleOnStationary(t *testing.T) {
 	for range 3000 {
 		s.Update(50 + rng.NormFloat64()*5)
 	}
+	mae := func(i int) float64 { return s.absErr[i] / float64(s.n) }
 	best, _ := s.Best()
-	bestMAE := s.MAE(best)
+	bestMAE := mae(best)
 	// The selector's winner should be close to the oracle: no expert
 	// can have dramatically lower error than the chosen one.
-	for i := range s.Experts() {
-		if s.MAE(i) < bestMAE-1e-12 {
+	for i := range s.experts {
+		if mae(i) < bestMAE-1e-12 {
 			t.Errorf("expert %d beats the selected best", i)
 		}
 	}
@@ -157,15 +158,12 @@ func TestSelectorEdgeCases(t *testing.T) {
 	if p, _ := s.Predict(); !math.IsNaN(p) {
 		t.Error("prediction before data should be NaN")
 	}
-	if !math.IsNaN(s.MAE(0)) || !math.IsNaN(s.MAE(-1)) {
-		t.Error("MAE before data / out of range should be NaN")
-	}
 	s.Update(5)
 	if s.N() != 1 {
 		t.Errorf("N = %d", s.N())
 	}
-	if len(s.Experts()) != 10 {
-		t.Errorf("default battery size = %d", len(s.Experts()))
+	if len(s.experts) != 10 {
+		t.Errorf("default battery size = %d", len(s.experts))
 	}
 }
 
@@ -207,7 +205,7 @@ func TestBandwidthPredictor(t *testing.T) {
 	if !almostEqual(sec, 100, 1e-9) {
 		t.Errorf("predicted %g s, want 100", sec)
 	}
-	if p.BestExpert() == "" {
+	if _, name := p.sel.Predict(); name == "" {
 		t.Error("no best expert name")
 	}
 }

@@ -136,13 +136,6 @@ func (im *Image) CommitBase(gen int) {
 	im.baseGen = gen
 }
 
-// ResetBase forgets the committed base (e.g. after the server lost the
-// image), forcing the next transfer to go full.
-func (im *Image) ResetBase() {
-	im.baseMan, im.encMan = Manifest{}, Manifest{}
-	im.baseGen = 0
-}
-
 // Adopt replaces the image content wholesale with data fetched from
 // the server during recovery, committed there as generation gen. The
 // image copies data.

@@ -160,7 +160,6 @@ func Diff(prev, cur Manifest) []int {
 	// different bytes even when the prefix matches, and the address
 	// comparison above already catches that (a short chunk and its
 	// extended successor hash differently).
-	Metrics.ChunksDeduped.Add(uint64(len(cur.Sums) - len(dirty)))
 	return dirty
 }
 
@@ -198,7 +197,6 @@ func Compress(payload []byte) (out []byte, ok bool) {
 	if buf.Len() >= len(payload) {
 		return payload, false
 	}
-	Metrics.CompressSavedBytes.Add(uint64(len(payload) - buf.Len()))
 	return buf.Bytes(), true
 }
 

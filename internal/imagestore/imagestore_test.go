@@ -249,11 +249,8 @@ func TestStoreDeltaResize(t *testing.T) {
 	// Shrink to a non-chunk-aligned size: the client re-encodes; the
 	// store must reject any non-dirty chunk whose span changed.
 	shrunk := append([]byte(nil), im.Bytes()[:3*cs+100]...)
-	im.Adopt(shrunk, 0) // replace content; forget base via explicit reset below
-	im.ResetBase()
+	im.Adopt(shrunk, 0) // replace content; generation 0 forgets the base
 	cur := BuildManifest(shrunk, cs)
-	prev := BuildManifest(nil, cs)
-	_ = prev
 	// Build the delta by hand against gen 1: chunk 3's span changed
 	// (was full, now short), so it must be dirty.
 	d := Delta{BaseGen: gen, ChunkSize: cs, Size: int64(len(shrunk)),
@@ -417,8 +414,8 @@ func TestManifestsNeverDrift(t *testing.T) {
 			case op == 4: // recovery: adopt what the store holds
 				data, _, gen, _, _ := s.Lookup(job)
 				im.Adopt(data, gen)
-			case op == 5: // base lost: the next checkpoint goes full
-				im.ResetBase()
+			case op == 5: // base lost: generation 0, so the next checkpoint goes full
+				im.Adopt(im.Bytes(), 0)
 			case op == 6: // the image grows or shrinks under the store's feet
 				resized := append([]byte(nil), im.Bytes()[:rng.Intn(len(im.Bytes())+1)]...)
 				resized = append(resized, NewImage(int64(rng.Intn(3*cs)), cs, rng.Int63()).Bytes()...)

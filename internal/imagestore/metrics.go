@@ -8,44 +8,26 @@ import "github.com/cycleharvest/ckptsched/internal/obs"
 var Metrics struct {
 	// ChunksHashed counts chunk addresses computed by BuildManifest.
 	ChunksHashed *obs.Counter
-	// ChunksDeduped counts chunks Diff matched against the committed
-	// base — chunks that never crossed the wire.
-	ChunksDeduped *obs.Counter
-	// CompressSavedBytes accumulates payload bytes removed by the
-	// DEFLATE pass (only transfers where compression actually won).
-	CompressSavedBytes *obs.Counter
 	// DeltaCommits counts successful delta applications.
 	DeltaCommits *obs.Counter
-	// DeltaBytes accumulates raw delta payload bytes committed.
-	DeltaBytes *obs.Counter
 	// FullCommits counts full-image commits.
 	FullCommits *obs.Counter
-	// FullBytes accumulates full-image bytes committed.
-	FullBytes *obs.Counter
 	// RejectedDeltas counts deltas the store refused: chunk verification
 	// failures and base-coverage violations (base-generation mismatches
 	// are counted by the manager as Nacks, not here).
 	RejectedDeltas *obs.Counter
 }
 
-// Instrument points the package's metrics at r (DESIGN.md §16 lists
+// Instrument points the package's metrics at r (DESIGN.md §11 lists
 // the names). Call before transfers start, typically from main;
 // Instrument(nil) turns instrumentation off.
 func Instrument(r *obs.Registry) {
 	Metrics.ChunksHashed = r.Counter("imagestore_chunks_hashed_total",
 		"Chunk content addresses computed.")
-	Metrics.ChunksDeduped = r.Counter("imagestore_chunks_deduped_total",
-		"Chunks matched against the committed base (not transferred).")
-	Metrics.CompressSavedBytes = r.Counter("imagestore_compress_saved_bytes_total",
-		"Payload bytes removed by compression.")
 	Metrics.DeltaCommits = r.Counter("imagestore_delta_commits_total",
 		"Delta checkpoint images committed.")
-	Metrics.DeltaBytes = r.Counter("imagestore_delta_bytes_total",
-		"Raw delta payload bytes committed.")
 	Metrics.FullCommits = r.Counter("imagestore_full_commits_total",
 		"Full checkpoint images committed.")
-	Metrics.FullBytes = r.Counter("imagestore_full_bytes_total",
-		"Full checkpoint image bytes committed.")
 	Metrics.RejectedDeltas = r.Counter("imagestore_rejected_deltas_total",
 		"Deltas refused by verification (excludes base-generation Nacks).")
 }

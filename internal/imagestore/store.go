@@ -108,7 +108,6 @@ func (s *Store) CommitFull(job string, data []byte, chunkSize int) (gen int, man
 	st.data, st.man, st.crc = own, man, crc
 	s.images[job] = st
 	Metrics.FullCommits.Inc()
-	Metrics.FullBytes.Add(uint64(len(own)))
 	return st.gen, man, crc
 }
 
@@ -203,6 +202,5 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 	cur.data, cur.man, cur.crc = data, man, crc
 	s.images[job] = cur
 	Metrics.DeltaCommits.Inc()
-	Metrics.DeltaBytes.Add(uint64(len(payload)))
 	return cur.gen, crc, nil
 }

@@ -245,6 +245,11 @@ type Campaign struct {
 	// Wire is the bytes-on-wire time series (nil unless the config set
 	// WireBins).
 	Wire *obs.ByteSeries
+
+	// tracer and pidBase echo the config's, so Validate's schedule
+	// builds trace on the lanes of the sessions they replay.
+	tracer  *obs.Tracer
+	pidBase uint64
 }
 
 // ByModel groups the samples by model family.
@@ -392,7 +397,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 			}
 			samples[idx] = s
 		}
-		return &Campaign{LinkName: cfg.Link.Name(), Samples: samples, Wire: cfg.wire}, nil
+		return &Campaign{LinkName: cfg.Link.Name(), Samples: samples, Wire: cfg.wire, tracer: cfg.Tracer, pidBase: cfg.TracePidBase}, nil
 	}
 
 	// Sessions are independent: fan out over a bounded worker pool.
@@ -408,7 +413,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 			return nil, err
 		}
 	}
-	return &Campaign{LinkName: cfg.Link.Name(), Samples: samples, Wire: cfg.wire}, nil
+	return &Campaign{LinkName: cfg.Link.Name(), Samples: samples, Wire: cfg.wire, tracer: cfg.Tracer, pidBase: cfg.TracePidBase}, nil
 }
 
 // allocation is one sample's placement, learned by the pre-pass: which
@@ -627,7 +632,6 @@ func runSession(cfg CampaignConfig, chaos *ckptnet.ChaosLink, fits *Fits, predic
 			// miss depending on whether a true alarm preceded it.
 			s.Evict(tr, s.pid, 2, s.start, s.stamp(), s.alarms[s.alarmIdx:], s.predTrue)
 		}
-		s.Flush()
 	}
 	tr.SpanAt(s.pid, 1, "session", s.start, s.SessionSec,
 		obs.AttrStr("model", model.String()),

@@ -5,6 +5,7 @@ import (
 
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/markov"
+	"github.com/cycleharvest/ckptsched/internal/obs"
 	"github.com/cycleharvest/ckptsched/internal/sim"
 	"github.com/cycleharvest/ckptsched/internal/stats"
 )
@@ -58,7 +59,7 @@ func Validate(c *Campaign, fits *Fits) ([]ValidationRow, error) {
 	var rows []ValidationRow
 	for _, model := range fit.Models {
 		var liveEffs, simEffs []float64
-		for _, s := range c.Samples {
+		for idx, s := range c.Samples {
 			if s.Model != model || s.SessionSec <= 0 {
 				continue
 			}
@@ -72,8 +73,12 @@ func Validate(c *Campaign, fits *Fits) ([]ValidationRow, error) {
 			}
 			costs := markov.Costs{C: cMean, R: cMean, L: cMean}
 			m := markov.Model{Avail: d, Costs: costs}
+			// The build traces on the replayed session's own lane.
 			sched, err := m.BuildSchedule(s.TElapsed+cMean, markov.ScheduleOptions{
-				Horizon: s.TElapsed + s.SessionSec + 2*cMean + 1,
+				Horizon:    s.TElapsed + s.SessionSec + 2*cMean + 1,
+				Trace:      c.tracer,
+				TracePid:   c.pidBase + uint64(idx) + 1,
+				TraceAttrs: []obs.Attr{obs.AttrStr("machine", s.Machine)},
 			})
 			if err != nil {
 				// The model believes this session couldn't make

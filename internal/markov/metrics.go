@@ -1,19 +1,13 @@
 package markov
 
-import (
-	"sync/atomic"
-
-	"github.com/cycleharvest/ckptsched/internal/obs"
-)
+import "github.com/cycleharvest/ckptsched/internal/obs"
 
 // metrics holds the package's observability hooks. All fields are
 // nil-safe obs metrics, so the zero value (instrumentation off) costs
 // one predictable branch per schedule build and nothing per Γ probe.
 var metrics struct {
-	// builds counts BuildSchedule completions; warmHits and coldScans
-	// partition its per-interval T_opt searches into warm-start
-	// successes and full 64-point geometric rescans.
-	builds, warmHits, coldScans *obs.Counter
+	// builds counts BuildSchedule completions.
+	builds *obs.Counter
 	// goldenEvals counts objective (Γ(T)/T) evaluations performed by
 	// the coarse-scan + golden-section optimizers — the unit of work
 	// behind every T_opt search.
@@ -27,10 +21,6 @@ var metrics struct {
 func Instrument(r *obs.Registry) {
 	metrics.builds = r.Counter("markov_schedule_builds_total",
 		"Aperiodic schedules built by BuildSchedule.")
-	metrics.warmHits = r.Counter("markov_warm_hits_total",
-		"Schedule intervals solved by the warm-start window search.")
-	metrics.coldScans = r.Counter("markov_cold_scans_total",
-		"Schedule intervals solved by the full geometric rescan (first interval or warm-start fallback).")
 	metrics.goldenEvals = r.Counter("markov_golden_evals_total",
 		"Overhead-ratio objective evaluations during T_opt searches.")
 }
@@ -44,40 +34,4 @@ func countedRatio(f func(float64) float64, n *uint64) func(float64) float64 {
 		*n++
 		return f(T)
 	}
-}
-
-// tracePidBase offsets every schedule-build pid lane into a band of
-// its own, so callers that hand out small per-session or per-run pids
-// (ckpt-sim lanes, campaign sample indices) never collide with the
-// lanes BuildSchedule claims from the global counter.
-const tracePidBase = 1 << 20
-
-// traceState holds the package's tracing hooks. tracer follows the
-// same set-before-work contract as Instrument; buildIDs allocates one
-// trace pid per BuildSchedule call (offset by tracePidBase).
-var traceState struct {
-	tracer   *obs.Tracer
-	buildIDs atomic.Uint64
-}
-
-// Trace points the package's schedule-search tracing at t: every
-// BuildSchedule call claims a fresh pid and emits one
-// "markov.build_schedule" span containing per-interval "markov.topt"
-// child spans, all on a virtual time axis of cumulative objective
-// evaluations within the build (wall time would make deterministic CLI
-// traces irreproducible — DESIGN.md §12). Like Instrument, call it
-// before scheduling work begins and not concurrently with BuildSchedule
-// or Topt; Trace(nil) turns tracing off. Attaching a tracer restarts
-// the pid lane counter, so builds against a fresh tracer always claim
-// the same lanes regardless of what ran earlier in the process.
-func Trace(t *obs.Tracer) {
-	traceState.tracer = t
-	traceState.buildIDs.Store(0)
-}
-
-// countEvals reports whether the T_opt searches should pay for the
-// objective-eval counting wrapper: either the eval counter or the
-// tracer (whose span axis is the eval count) is live.
-func countEvals() bool {
-	return metrics.goldenEvals != nil || traceState.tracer != nil
 }

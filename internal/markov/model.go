@@ -243,20 +243,20 @@ var ErrDegenerate = errors.New("markov: no feasible work interval")
 // followed by Golden Section refinement (§3.5 uses Golden Section
 // Search from Numerical Recipes).
 func (m Model) Topt(age float64, opts OptimizeOptions) (T, ratio float64, err error) {
-	T, ratio, _, err = m.toptCount(age, opts)
+	T, ratio, _, err = m.toptCount(age, opts, metrics.goldenEvals != nil)
 	return T, ratio, err
 }
 
 // toptCount is Topt plus the number of objective evaluations the
 // search performed — the virtual time axis of BuildSchedule's trace
-// spans. evals is 0 when neither the eval counter nor the tracer is
-// live (the wrapper is skipped entirely on the disabled path).
-func (m Model) toptCount(age float64, opts OptimizeOptions) (T, ratio float64, evals uint64, err error) {
+// spans. evals is 0 unless count is set (the eval counter or the
+// build's tracer is live); the wrapper is skipped entirely otherwise.
+func (m Model) toptCount(age float64, opts OptimizeOptions, count bool) (T, ratio float64, evals uint64, err error) {
 	opts.setDefaults()
 	e := m.evaluator(age)
 	f := e.ratio
 	var n uint64
-	if countEvals() {
+	if count {
 		f = countedRatio(f, &n)
 	}
 	T, ratio = mathx.MinimizeScanGolden(f, opts.TMin, opts.TMax, opts.GridPoints, opts.Tol)
@@ -285,8 +285,8 @@ const warmMinSurvival = 1e-6
 // the objective is numerically untrustworthy — and the caller must
 // fall back to the cold Topt scan. A warm result, when ok, matches the
 // cold scan bitwise whenever T_opt has drifted by less than the window
-// width.
-func (m Model) toptWarm(age, prev float64, opts OptimizeOptions) (T, ratio float64, evals uint64, ok bool) {
+// width. count is toptCount's.
+func (m Model) toptWarm(age, prev float64, opts OptimizeOptions, count bool) (T, ratio float64, evals uint64, ok bool) {
 	opts.setDefaults()
 	e := m.evaluator(age)
 	if !(e.cond.AgeSurvival() >= warmMinSurvival) {
@@ -294,7 +294,7 @@ func (m Model) toptWarm(age, prev float64, opts OptimizeOptions) (T, ratio float
 	}
 	f := e.ratio
 	var n uint64
-	if countEvals() {
+	if count {
 		f = countedRatio(f, &n)
 	}
 	T, ratio, ok = mathx.MinimizeWarmScanGolden(f, opts.TMin, opts.TMax, opts.GridPoints, opts.Tol, prev)

@@ -393,7 +393,7 @@ func TestToptWarmMatchesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		if prevT > 0 {
-			if T, ratio, _, ok := m.toptWarm(age, prevT, opts); ok {
+			if T, ratio, _, ok := m.toptWarm(age, prevT, opts, false); ok {
 				warmHits++
 				if T != coldT || ratio != coldR {
 					t.Fatalf("interval %d (age %g): warm (%v, %v) != cold (%v, %v)",
@@ -420,7 +420,7 @@ func TestToptWarmDeclinesDeepTail(t *testing.T) {
 	if s := m.Avail.Survival(2e6); s >= warmMinSurvival {
 		t.Fatalf("test premise broken: S(2e6) = %g", s)
 	}
-	if _, _, _, ok := m.toptWarm(2e6, 5000, opts); ok {
+	if _, _, _, ok := m.toptWarm(2e6, 5000, opts, false); ok {
 		t.Error("warm start accepted an age deep in the availability tail")
 	}
 	// Cold Topt still answers there.

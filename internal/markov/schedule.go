@@ -211,6 +211,19 @@ type ScheduleOptions struct {
 	Horizon float64
 	// MaxIntervals caps the schedule length. Default: 10000.
 	MaxIntervals int
+	// Trace, when set, records one "markov.build_schedule" span with a
+	// "markov.topt" child per interval on lane (TracePid, tid 0), timed
+	// on a virtual axis of cumulative objective evaluations within the
+	// build — wall time would make CLI traces irreproducible (DESIGN.md
+	// §12). Nil disables tracing at zero cost.
+	Trace *obs.Tracer
+	// TracePid is the trace lane the build emits on; 0 means lane 1.
+	// Builds running concurrently must be given distinct lanes for the
+	// export to be deterministic.
+	TracePid uint64
+	// TraceAttrs are added to the build span, after its own start_age,
+	// model and c — the caller's names for what it plans (a machine).
+	TraceAttrs []obs.Attr
 }
 
 func (o *ScheduleOptions) setDefaults() {
@@ -242,19 +255,18 @@ func (m Model) BuildSchedule(startAge float64, opts ScheduleOptions) (*Schedule,
 	prevT := 0.0
 	warmHits, coldScans := 0, 0
 
-	// Tracing runs on a virtual time axis of cumulative objective
-	// evaluations within this build — deterministic where wall time is
-	// not (DESIGN.md §12). Each build claims its own pid lane in a
-	// reserved band above tracePidBase so schedule builds never share
-	// a lane with the per-session/per-run pids the callers hand out.
-	tr := traceState.tracer
-	var pid, evalAxis uint64
+	tr, pid := opts.Trace, opts.TracePid
+	if tr != nil && pid == 0 {
+		pid = 1
+	}
+	count := tr != nil || metrics.goldenEvals != nil
+	var evalAxis uint64
 	var bsp *obs.Span
 	if tr != nil {
-		pid = tracePidBase + traceState.buildIDs.Add(1)
-		bsp = tr.StartSpanAt(pid, 1, "markov.build_schedule", 0).SetAttr(
+		bsp = tr.StartSpanAt(pid, 0, "markov.build_schedule", 0).SetAttr(
 			obs.AttrFloat("start_age", startAge),
-			obs.AttrStr("model", m.Avail.Name()))
+			obs.AttrStr("model", m.Avail.Name()),
+			obs.AttrFloat("c", m.Costs.C)).SetAttr(opts.TraceAttrs...)
 	}
 
 	for len(s.Intervals) < opts.MaxIntervals {
@@ -270,14 +282,14 @@ func (m Model) BuildSchedule(startAge float64, opts ScheduleOptions) (*Schedule,
 			warmN, coldN uint64
 		)
 		if prevT > 0 {
-			T, ratio, warmN, warm = m.toptWarm(age, prevT, opts.Optimize)
+			T, ratio, warmN, warm = m.toptWarm(age, prevT, opts.Optimize, count)
 		}
 		if warm {
 			warmHits++
 		} else {
 			coldScans++
 			var err error
-			T, ratio, coldN, err = m.toptCount(age, opts.Optimize)
+			T, ratio, coldN, err = m.toptCount(age, opts.Optimize, count)
 			if err != nil {
 				if len(s.Intervals) > 0 {
 					break // keep what we have; later ages degenerate
@@ -290,7 +302,7 @@ func (m Model) BuildSchedule(startAge float64, opts ScheduleOptions) (*Schedule,
 			if warm {
 				mode = "warm"
 			}
-			tr.SpanAt(pid, 1, "markov.topt", float64(evalAxis), float64(n),
+			tr.SpanAt(pid, 0, "markov.topt", float64(evalAxis), float64(n),
 				obs.AttrStr("mode", mode),
 				obs.AttrFloat("age", age),
 				obs.AttrFloat("t_opt", T),
@@ -323,7 +335,5 @@ func (m Model) BuildSchedule(startAge float64, opts ScheduleOptions) (*Schedule,
 		obs.AttrInt("cold_scans", int64(coldScans)),
 	).EndAt(float64(evalAxis))
 	metrics.builds.Inc()
-	metrics.warmHits.Add(uint64(warmHits))
-	metrics.coldScans.Add(uint64(coldScans))
 	return s, nil
 }

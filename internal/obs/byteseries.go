@@ -59,6 +59,8 @@ func (b *ByteSeries) Width() float64 {
 }
 
 // Bins copies the current bin totals out (nil slice for a nil series).
+// Test seam: programs read the series as Total and MBPerSec; the obs
+// and live tests check the bins' exact byte totals.
 func (b *ByteSeries) Bins() []int64 {
 	if b == nil {
 		return nil

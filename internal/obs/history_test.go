@@ -396,8 +396,8 @@ func TestByteSeriesConcurrentDeterministic(t *testing.T) {
 
 // TestRuntimeCollectorPrometheusRoundTrip registers the runtime
 // collector, forces a collection, and parses the Prometheus exposition
-// back — every runtime series must appear with a plausible value, and
-// the GC-pause histogram must be a well-formed cumulative histogram.
+// back — both runtime series must appear with a plausible value — then
+// checks that, attached to a history, they surface in its snapshot.
 func TestRuntimeCollectorPrometheusRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	c := NewRuntimeCollector(reg)
@@ -407,46 +407,15 @@ func TestRuntimeCollectorPrometheusRoundTrip(t *testing.T) {
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	text := b.String()
-
-	samples := parseExposition(t, text)
+	samples := parseExposition(t, b.String())
 	if samples["go_goroutines"] < 1 {
 		t.Errorf("go_goroutines = %g", samples["go_goroutines"])
 	}
 	if samples["go_heap_alloc_bytes"] <= 0 {
 		t.Errorf("go_heap_alloc_bytes = %g", samples["go_heap_alloc_bytes"])
 	}
-	if _, ok := samples["go_heap_objects"]; !ok {
-		t.Error("go_heap_objects missing from exposition")
-	}
-	if _, ok := samples["go_gc_cycles_total"]; !ok {
-		t.Error("go_gc_cycles_total missing from exposition")
-	}
-	for _, h := range []string{"go_gc_pause_seconds", "go_sched_latency_seconds"} {
-		count, okC := samples[h+"_count"]
-		if !okC {
-			t.Errorf("%s_count missing", h)
-			continue
-		}
-		inf, okInf := samples[h+`_bucket{le="+Inf"}`]
-		if !okInf || inf != count {
-			t.Errorf("%s +Inf bucket = %g, want count %g", h, inf, count)
-		}
-		// Buckets are cumulative: each le bound's value never decreases.
-		prev := -1.0
-		for _, line := range strings.Split(text, "\n") {
-			if strings.HasPrefix(line, h+"_bucket") {
-				parts := strings.Fields(line)
-				v, err := strconv.ParseFloat(parts[len(parts)-1], 64)
-				if err != nil {
-					t.Fatalf("bucket line %q: %v", line, err)
-				}
-				if v < prev {
-					t.Errorf("%s buckets not cumulative: %q", h, line)
-				}
-				prev = v
-			}
-		}
+	if len(samples) != 2 {
+		t.Errorf("exposition holds %d samples, want the 2 go_* gauges: %v", len(samples), samples)
 	}
 
 	// Attached to a history, Collect runs on every scrape and the
@@ -456,11 +425,10 @@ func TestRuntimeCollectorPrometheusRoundTrip(t *testing.T) {
 	h.Scrape(0)
 	h.Scrape(1)
 	snap := h.Snapshot()
-	if _, ok := snap.Gauges["go_goroutines"]; !ok {
-		t.Error("history missing go_goroutines")
-	}
-	if _, ok := snap.Histograms["go_gc_pause_seconds"]; !ok {
-		t.Error("history missing go_gc_pause_seconds")
+	for _, name := range []string{"go_goroutines", "go_heap_alloc_bytes"} {
+		if _, ok := snap.Gauges[name]; !ok {
+			t.Errorf("history missing %s", name)
+		}
 	}
 }
 

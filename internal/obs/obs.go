@@ -1,7 +1,7 @@
 // Package obs is a zero-dependency metrics layer for the checkpoint
 // pipeline: atomic counters, gauges, and fixed-bucket histograms
-// collected in a Registry that can render a deterministic snapshot, a
-// Prometheus text-format page, or an expvar variable.
+// collected in a Registry that can render a deterministic snapshot or
+// a Prometheus text-format page.
 //
 // The package exists so the manager, the simulators, and the sweep
 // engine can be observed where the cost is paid — retry storms, cache
@@ -175,27 +175,6 @@ func (h *Histogram) Observe(v float64) {
 	for {
 		old := h.sum.Load()
 		val := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, val) {
-			return
-		}
-	}
-}
-
-// observeN folds n identical observations of v into the histogram in
-// O(1) — the bulk-import path the runtime collector uses to mirror the
-// Go runtime's own bucketed distributions (scheduler latency) without
-// n individual Observe calls.
-func (h *Histogram) observeN(v float64, n uint64) {
-	if h == nil || n == 0 {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(n)
-	h.count.Add(n)
-	add := v * float64(n)
-	for {
-		old := h.sum.Load()
-		val := math.Float64bits(math.Float64frombits(old) + add)
 		if h.sum.CompareAndSwap(old, val) {
 			return
 		}

@@ -180,18 +180,6 @@ func TestHandlerServesText(t *testing.T) {
 	}
 }
 
-func TestExpvarVar(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("n_total", "").Add(9)
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(r.ExpvarVar().String()), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["n_total"] != 9 {
-		t.Errorf("expvar snapshot = %+v", snap)
-	}
-}
-
 // TestNilRegistryAndMetrics pins the off switch: every operation on a
 // nil registry or nil metric is a safe no-op and expositions render
 // empty.
@@ -343,42 +331,37 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestExpvarBridgeShape pins the expvar output shape: the published
-// Var renders as one JSON object with counters/gauges/histograms maps
-// identical to Snapshot's encoding.
-func TestExpvarBridgeShape(t *testing.T) {
+// TestSnapshotJSONShape pins the -stats dump's shape: a Snapshot
+// encodes as one JSON object with counters/gauges/histograms maps,
+// empty maps omitted.
+func TestSnapshotJSONShape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("ckpt_expvar_total", "").Inc()
-	r.Histogram("ckpt_expvar_seconds", "", []float64{1}).Observe(0.5)
+	r.Counter("ckpt_stats_total", "").Inc()
+	r.Histogram("ckpt_stats_seconds", "", []float64{1}).Observe(0.5)
 
+	raw, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(r.ExpvarVar().String()), &got); err != nil {
-		t.Fatalf("expvar output is not JSON: %v", err)
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
 	}
 	for _, key := range []string{"counters", "histograms"} {
 		if _, ok := got[key]; !ok {
-			t.Errorf("expvar output missing %q: %v", key, got)
+			t.Errorf("snapshot JSON missing %q: %s", key, raw)
 		}
 	}
 	if _, ok := got["gauges"]; ok {
 		t.Error("empty gauge map should be omitted")
 	}
-
-	want, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRaw := r.ExpvarVar().String()
-	if string(want) != gotRaw {
-		t.Errorf("expvar bridge diverges from Snapshot:\nexpvar:   %s\nsnapshot: %s", gotRaw, want)
-	}
 	var hist struct {
 		H map[string]HistogramSnapshot `json:"histograms"`
 	}
-	if err := json.Unmarshal([]byte(gotRaw), &hist); err != nil {
+	if err := json.Unmarshal(raw, &hist); err != nil {
 		t.Fatal(err)
 	}
-	hs := hist.H["ckpt_expvar_seconds"]
+	hs := hist.H["ckpt_stats_seconds"]
 	if hs.Count != 1 || len(hs.Counts) != len(hs.Bounds)+1 {
 		t.Errorf("histogram shape: %+v (want count 1, len(counts)=len(bounds)+1)", hs)
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -14,7 +13,6 @@ import (
 //	/metrics               Prometheus text exposition of reg
 //	/metrics/history       windowed series as JSON (only with hist)
 //	/healthz               liveness probe, "ok"
-//	/debug/vars            expvar
 //	/debug/trace/snapshot  the flight recorder as a Chrome trace (only with tracer)
 //	/debug/pprof/*         net/http/pprof (only when pprofOn — profiling
 //	                       endpoints do not belong on an exposed port unasked)
@@ -24,7 +22,6 @@ import (
 func NewOpsMux(reg *Registry, tracer *Tracer, hist *History, pprofOn bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, "ok\n")

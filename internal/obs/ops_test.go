@@ -19,7 +19,6 @@ func TestOpsMuxRoutes(t *testing.T) {
 	}{
 		{"/metrics", false},
 		{"/healthz", false},
-		{"/debug/vars", false},
 		{"/metrics/history", true},
 		{"/debug/trace/snapshot", true},
 		{"/debug/pprof/", true},
@@ -40,5 +39,11 @@ func TestOpsMuxRoutes(t *testing.T) {
 		if got := get(full); got != http.StatusOK {
 			t.Errorf("full mux %s = %d, want 200", c.path, got)
 		}
+	}
+	// /debug/vars is not a route: /metrics is the one exposition.
+	w := httptest.NewRecorder()
+	full.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+	if w.Code != http.StatusNotFound {
+		t.Errorf("/debug/vars = %d, want 404", w.Code)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -262,18 +261,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WriteText(w)
 	})
-}
-
-// ExpvarVar adapts the registry to the expvar.Var interface: its
-// String method renders the current Snapshot as JSON.
-func (r *Registry) ExpvarVar() expvar.Var {
-	return expvar.Func(func() any { return r.Snapshot() })
-}
-
-// PublishExpvar publishes the registry's snapshot under name in the
-// process-wide expvar namespace (served by expvar.Handler at
-// /debug/vars). Like expvar.Publish it panics on duplicate names, so
-// call it once per process.
-func PublishExpvar(name string, r *Registry) {
-	expvar.Publish(name, r.ExpvarVar())
 }

@@ -1,28 +1,14 @@
 package obs
 
-// Runtime telemetry as ordinary obs metrics: goroutine count, heap
-// size, GC activity, and scheduler latency, registered under go_*
-// names (DESIGN.md §17) and refreshed by an explicit Collect call —
-// which the server wiring hangs off History.OnScrape so every window
-// carries a fresh reading. Nothing here runs on simulator clocks:
-// runtime state is inherently nondeterministic, so simulations simply
-// never attach the collector and their histories stay byte-identical.
+// Runtime telemetry as ordinary obs metrics: goroutine count and heap
+// size, registered under go_* names (DESIGN.md §11) and refreshed by
+// an explicit Collect call — which the server wiring hangs off
+// History.OnScrape so every window carries a fresh reading. Nothing
+// here runs on simulator clocks: runtime state is inherently
+// nondeterministic, so simulations simply never attach the collector
+// and their histories stay byte-identical.
 
-import (
-	"runtime"
-	"runtime/metrics"
-)
-
-// gcPauseBuckets spans stop-the-world pauses from 10µs blips to
-// 100ms+ pathologies.
-var gcPauseBuckets = []float64{
-	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1,
-}
-
-// schedLatencyName is the runtime/metrics distribution of how long
-// runnable goroutines waited for a thread.
-const schedLatencyName = "/sched/latencies:seconds"
+import "runtime/metrics"
 
 // RuntimeCollector mirrors Go runtime state into a Registry. Build
 // with NewRuntimeCollector, refresh with Collect; a nil collector
@@ -30,41 +16,25 @@ const schedLatencyName = "/sched/latencies:seconds"
 type RuntimeCollector struct {
 	goroutines *Gauge
 	heapAlloc  *Gauge
-	heapObjs   *Gauge
-	gcCycles   *Counter
-	gcPause    *Histogram
-	schedLat   *Histogram
-
-	lastNumGC uint32
-	lastSched []uint64 // previous cumulative counts of the sched-latency distribution
-	samples   []metrics.Sample
+	// samples reads both values in one runtime/metrics.Read, which
+	// (unlike runtime.ReadMemStats) does not stop the world.
+	samples []metrics.Sample
 }
 
 // NewRuntimeCollector registers the go_* metrics on reg and returns a
-// collector primed against current runtime state, so the first Collect
-// reports activity since construction rather than since process start.
-// Returns nil on a nil registry.
+// collector. Returns nil on a nil registry.
 func NewRuntimeCollector(reg *Registry) *RuntimeCollector {
 	if reg == nil {
 		return nil
 	}
-	c := &RuntimeCollector{
+	return &RuntimeCollector{
 		goroutines: reg.Gauge("go_goroutines", "Current number of goroutines."),
 		heapAlloc:  reg.Gauge("go_heap_alloc_bytes", "Bytes of allocated heap objects."),
-		heapObjs:   reg.Gauge("go_heap_objects", "Number of allocated heap objects."),
-		gcCycles:   reg.Counter("go_gc_cycles_total", "Completed GC cycles."),
-		gcPause:    reg.Histogram("go_gc_pause_seconds", "Stop-the-world GC pause durations.", gcPauseBuckets),
-		schedLat:   reg.Histogram("go_sched_latency_seconds", "Time goroutines spent runnable before running.", gcPauseBuckets),
-		samples:    []metrics.Sample{{Name: schedLatencyName}},
+		samples: []metrics.Sample{
+			{Name: "/sched/goroutines:goroutines"},
+			{Name: "/memory/classes/heap/objects:bytes"},
+		},
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	c.lastNumGC = ms.NumGC
-	metrics.Read(c.samples)
-	if h := c.samples[0].Value; h.Kind() == metrics.KindFloat64Histogram {
-		c.lastSched = append([]uint64(nil), h.Float64Histogram().Counts...)
-	}
-	return c
 }
 
 // Attach hangs Collect off the history's scrape cycle, so every
@@ -76,71 +46,13 @@ func (c *RuntimeCollector) Attach(h *History) {
 	h.OnScrape(func(float64) { c.Collect() })
 }
 
-// Collect refreshes every go_* metric from current runtime state:
-// gauges are overwritten, GC pauses observed since the last Collect
-// are folded into the pause histogram, and the runtime's own
-// scheduler-latency distribution is imported by bucket delta (each
-// new observation counted at its bucket midpoint via the bulk path —
-// no per-observation cost). Nil-safe.
+// Collect overwrites the go_* gauges with current runtime state.
+// Nil-safe.
 func (c *RuntimeCollector) Collect() {
 	if c == nil {
 		return
 	}
-	c.goroutines.Set(int64(runtime.NumGoroutine()))
-
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	c.heapAlloc.Set(int64(ms.HeapAlloc))
-	c.heapObjs.Set(int64(ms.HeapObjects))
-
-	if n := ms.NumGC - c.lastNumGC; n > 0 {
-		c.gcCycles.Add(uint64(n))
-		// PauseNs is a 256-entry ring indexed by GC number; if more than
-		// 256 cycles elapsed between collects only the newest 256 remain.
-		if n > uint32(len(ms.PauseNs)) {
-			n = uint32(len(ms.PauseNs))
-		}
-		// Cycle k's pause lives at PauseNs[(k+255)%256]; the loop index i
-		// spans the new cycles' predecessors, putting cycle i+1 at i%256.
-		for i := ms.NumGC - n; i < ms.NumGC; i++ {
-			c.gcPause.Observe(float64(ms.PauseNs[i%256]) / 1e9)
-		}
-		c.lastNumGC = ms.NumGC
-	}
-
 	metrics.Read(c.samples)
-	if h := c.samples[0].Value; h.Kind() == metrics.KindFloat64Histogram {
-		fh := h.Float64Histogram()
-		if len(c.lastSched) != len(fh.Counts) {
-			c.lastSched = make([]uint64, len(fh.Counts))
-		}
-		for i, n := range fh.Counts {
-			d := n - c.lastSched[i]
-			c.lastSched[i] = n
-			if d == 0 {
-				continue
-			}
-			c.schedLat.observeN(schedBucketMid(fh.Buckets, i), d)
-		}
-	}
+	c.goroutines.Set(int64(c.samples[0].Value.Uint64()))
+	c.heapAlloc.Set(int64(c.samples[1].Value.Uint64()))
 }
-
-// schedBucketMid picks a representative value for runtime/metrics
-// bucket i: the midpoint of its bounds, falling back to the finite
-// edge when the other is infinite (the runtime pads its distributions
-// with -Inf/+Inf sentinels).
-func schedBucketMid(bounds []float64, i int) float64 {
-	lo, hi := bounds[i], bounds[i+1]
-	loInf, hiInf := isInf(lo), isInf(hi)
-	switch {
-	case loInf && hiInf:
-		return 0
-	case loInf:
-		return hi
-	case hiInf:
-		return lo
-	}
-	return (lo + hi) / 2
-}
-
-func isInf(v float64) bool { return v > 1e308 || v < -1e308 }

@@ -40,7 +40,6 @@ type SLO struct {
 	good *Counter
 	bad  *Counter
 
-	objective *FloatGauge
 	burnShort *FloatGauge
 	burnLong  *FloatGauge
 
@@ -57,11 +56,11 @@ type sloSample struct {
 
 // NewSLO registers a route's SLO metrics on reg and returns the
 // tracker. route becomes part of the metric names — slo_<route>_*: a
-// good/bad request counter pair, the objective echoed as a gauge, and
-// burn-rate gauges for the 5-minute and 1-hour windows. latencyTarget
-// is the per-request latency bound in seconds (a slower success counts
-// against the budget); objective is the availability target in (0,1),
-// e.g. 0.999. Returns nil on a nil registry.
+// good/bad request counter pair and burn-rate gauges for the 5-minute
+// and 1-hour windows. latencyTarget is the per-request latency bound in
+// seconds (a slower success counts against the budget); objective is
+// the availability target in (0,1), e.g. 0.999. Returns nil on a nil
+// registry.
 func NewSLO(reg *Registry, route string, latencyTarget, objective float64) *SLO {
 	if reg == nil {
 		return nil
@@ -69,17 +68,14 @@ func NewSLO(reg *Registry, route string, latencyTarget, objective float64) *SLO 
 	if objective <= 0 || objective >= 1 {
 		panic("obs: SLO objective must be in (0,1)")
 	}
-	s := &SLO{
+	return &SLO{
 		latencyTarget: latencyTarget,
 		budget:        1 - objective,
 		good:          reg.Counter("slo_"+route+"_good_total", "Requests within the "+route+" SLO."),
 		bad:           reg.Counter("slo_"+route+"_bad_total", "Requests violating the "+route+" SLO."),
-		objective:     reg.FloatGauge("slo_"+route+"_objective", "Availability objective for "+route+"."),
 		burnShort:     reg.FloatGauge("slo_"+route+"_burn_5m", "Error-budget burn rate for "+route+" over 5 minutes."),
 		burnLong:      reg.FloatGauge("slo_"+route+"_burn_1h", "Error-budget burn rate for "+route+" over 1 hour."),
 	}
-	s.objective.Set(objective)
-	return s
 }
 
 // Observe classifies one request: failures and successes slower than

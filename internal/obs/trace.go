@@ -42,7 +42,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -135,15 +134,18 @@ type TracerOptions struct {
 	// Clock supplies "now" in seconds for the convenience methods
 	// (StartSpan, Event). Defaults to wall time since tracer creation.
 	// Subsystems on simulated time bypass it with the ...At variants.
+	// Test seam: every program keeps the default; the obs tests pin
+	// wall-clock spans to exact timestamps with it.
 	Clock func() float64
 	// RingCapacity sizes the flight recorder (default 4096; negative
-	// disables the ring).
+	// disables the ring). Test seam: every program keeps the default;
+	// the tests shrink the ring to force evictions or disable it.
 	RingCapacity int
 	// FullFidelity retains every event in memory for WriteFile /
 	// Events() export. Leave false for long-lived servers that only
 	// need the flight recorder.
 	FullFidelity bool
-	// Metrics, when set, registers the tracer's drop and emission
+	// Metrics, when set, registers the tracer's eviction and emission
 	// counters (obs_trace_events_total, obs_trace_ring_evictions_total).
 	Metrics *Registry
 }
@@ -156,7 +158,6 @@ type Tracer struct {
 
 	emitted   *Counter // registry-backed, nil when uninstrumented
 	evictions *Counter
-	dropped   atomic.Uint64 // ring evictions, always tracked
 
 	mu      sync.Mutex
 	seq     uint64
@@ -222,19 +223,8 @@ func (t *Tracer) emit(ev TraceEvent) {
 	t.mu.Unlock()
 	t.emitted.Inc()
 	if evicted {
-		t.dropped.Add(1)
 		t.evictions.Inc()
 	}
-}
-
-// Dropped returns how many events the flight recorder has evicted
-// (zero for a nil tracer). The same count feeds
-// obs_trace_ring_evictions_total when the tracer is instrumented.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
 }
 
 // Span is an in-flight span handle. A nil *Span (what a nil tracer

@@ -63,9 +63,6 @@ func TestTracerRingEviction(t *testing.T) {
 			t.Errorf("snap[%d].Ts = %g, want %g", i, snap[i].Ts, want)
 		}
 	}
-	if tr.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", tr.Dropped())
-	}
 	s := reg.Snapshot()
 	if got := s.Counters["obs_trace_ring_evictions_total"]; got != 2 {
 		t.Errorf("eviction counter = %d, want 2", got)
@@ -182,7 +179,7 @@ func TestNilTracerNoops(t *testing.T) {
 	tr.Event(1, 1, "e", AttrFloat("v", 1))
 	tr.EventAt(1, 1, "e", 2)
 	tr.SpanAt(1, 1, "s", 0, 1)
-	if tr.Events() != nil || tr.Snapshot() != nil || tr.Dropped() != 0 || tr.Now() != 0 {
+	if tr.Events() != nil || tr.Snapshot() != nil || tr.Now() != 0 {
 		t.Error("nil tracer leaked state")
 	}
 	if err := tr.WriteFile("should-not-exist.json"); err != nil {

@@ -176,8 +176,6 @@ type engine struct {
 	xferSum   float64 // streaming mean of completed transfer durations
 	xferCount int
 
-	svcClamps int // transfer timestamps pinned to now by the last-ulp guard
-
 	tr  *obs.Tracer // nil = tracing off
 	pid uint64      // trace lane (Config.TracePid, default 1)
 
@@ -333,7 +331,6 @@ func (e *engine) run() {
 				xt := e.svcAt + (re.target-e.svc)/e.rateNow
 				if xt < e.now {
 					xt = e.now // guard the last-ulp of service arithmetic
-					e.svcClamps++
 				}
 				id, t, kind = int(re.id), xt, kindXfer
 			}
@@ -520,19 +517,7 @@ func (e *engine) finish() Result {
 		obs.AttrFloat("efficiency", e.res.Efficiency),
 		obs.AttrInt("commits", int64(e.res.Commits)),
 		obs.AttrInt("failures", int64(e.res.Failures)))
-	hops := e.tourney.ops
-	for s := range e.shards {
-		sh := &e.shards[s]
-		hops += sh.failH.ops + sh.predH.ops
-	}
-	metrics.runs.Inc()
-	metrics.heapOps.Add(hops)
-	metrics.fallbacks.Add(uint64(e.res.ScheduleFallbacks))
-	metrics.svcResets.Add(uint64(e.svcClamps))
-	metrics.linkPeak.SetMax(int64(e.res.MaxConcurrent))
-	if e.pred != nil {
-		e.res.Flush()
-	}
+	linkPeak.SetMax(int64(e.res.MaxConcurrent))
 	return e.res
 }
 

@@ -33,7 +33,8 @@ type GridPolicy struct {
 // one shared base configuration.
 type GridConfig struct {
 	// Base is the per-cell template; its ScheduleDist, Stagger and
-	// Seed fields are overwritten per cell. Every other field — Shards
+	// Seed fields are overwritten per cell, and its TracePid offsets
+	// the cells' trace lanes (flat task t traces on TracePid + t + 1). Every other field — Shards
 	// included — flows to every cell unchanged, so a grid sweeps one
 	// engine layout across models and policies (and, per the sharding
 	// contract, the Shards value cannot change any cell's numbers).
@@ -161,6 +162,8 @@ func RunGrid(cfg GridConfig) (*Grid, error) {
 		if err := c.validate(); err != nil {
 			return nil, err
 		}
+		// The build traces on the lane of the model's first task.
+		c.TracePid = cfg.Base.TracePid + uint64(i*len(policies)*len(cfg.Staggers)*cfg.Seeds) + 1
 		scheds[i] = scheduleFor(c)
 	}
 
@@ -209,7 +212,7 @@ func RunGrid(cfg GridConfig) (*Grid, error) {
 				// One trace lane per flat task: pid depends only on the
 				// task index, and each engine emits single-threaded, so
 				// the sorted export is byte-identical at any MaxProcs.
-				c.TracePid = uint64(task) + 1
+				c.TracePid = cfg.Base.TracePid + uint64(task) + 1
 				r, err := runScheduled(c, scheds[mi])
 				if err != nil {
 					errOnce.Do(func() { runErr = err })

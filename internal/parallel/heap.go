@@ -69,7 +69,6 @@ func nodeLess(a, b heapNode) bool {
 type eventHeap struct {
 	nodes []heapNode
 	pos   []int32 // id -> slot, -1 if absent
-	ops   uint64  // Update/Remove mutations, flushed to obs once per run
 }
 
 // init readies a zero eventHeap for ids in [0, n).
@@ -103,7 +102,6 @@ func (h *eventHeap) Min() (id int, key float64, kind uint8, ok bool) {
 // Update inserts id with the given key, or repositions it if already
 // present (covers both decrease-key and increase-key).
 func (h *eventHeap) Update(id int, key float64, kind uint8) {
-	h.ops++
 	if i := h.pos[id]; i >= 0 {
 		h.nodes[i].key = key
 		h.nodes[i].kind = kind
@@ -124,7 +122,6 @@ func (h *eventHeap) Remove(id int) {
 	if i < 0 {
 		return
 	}
-	h.ops++
 	last := len(h.nodes) - 1
 	if i != last {
 		h.nodes[i] = h.nodes[last]

@@ -2,42 +2,17 @@ package parallel
 
 import "github.com/cycleharvest/ckptsched/internal/obs"
 
-// metrics holds the package's observability hooks. All fields are
-// nil-safe obs metrics, flushed once per simulation in engine.finish —
-// the event loop itself only bumps plain engine-local integers, so the
-// per-event cost is unchanged whether instrumentation is on or off
-// (the gated BenchmarkParallelRun budget is ≤2%).
-var metrics struct {
-	// runs counts completed simulations (heap and reference engines).
-	runs *obs.Counter
-	// heapOps counts indexed-heap Update/Remove mutations across both
-	// calendars — the per-event work the O(log W) engine claim rests on.
-	heapOps *obs.Counter
-	// fallbacks mirrors Result.ScheduleFallbacks: intervals not served
-	// from the planned schedule.
-	fallbacks *obs.Counter
-	// svcResets counts virtual-service clock clamps: transfer
-	// completions whose service-arithmetic timestamp landed a last-ulp
-	// before the current clock and were pinned to now.
-	svcResets *obs.Counter
-	// linkPeak is the high-water mark of concurrent transfers on the
-	// shared link across all runs.
-	linkPeak *obs.Gauge
-}
+// linkPeak is the high-water mark of concurrent transfers on the
+// shared link across all runs (parallel_link_concurrency_peak), set
+// once per simulation in engine.finish. Nil-safe: uninstrumented runs
+// pay one predictable branch per run.
+var linkPeak *obs.Gauge
 
-// Instrument points the package's simulation metrics at r (DESIGN.md
+// Instrument points the package's simulation metric at r (DESIGN.md
 // §11 lists the names). Call it before any simulations start —
 // typically from main — and do not call it concurrently with Run or
 // RunGrid. Instrument(nil) turns instrumentation off.
 func Instrument(r *obs.Registry) {
-	metrics.runs = r.Counter("parallel_runs_total",
-		"Completed parallel-job simulations.")
-	metrics.heapOps = r.Counter("parallel_heap_ops_total",
-		"Event-calendar heap mutations (Update and Remove) across both calendars.")
-	metrics.fallbacks = r.Counter("parallel_schedule_fallbacks_total",
-		"Work intervals not served from the planned schedule (degenerate model or past horizon).")
-	metrics.svcResets = r.Counter("parallel_virtual_service_resets_total",
-		"Transfer completion times clamped to the current clock (last-ulp service arithmetic).")
-	metrics.linkPeak = r.Gauge("parallel_link_concurrency_peak",
+	linkPeak = r.Gauge("parallel_link_concurrency_peak",
 		"Peak number of simultaneous transfers sharing the link across all runs.")
 }

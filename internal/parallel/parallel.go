@@ -106,8 +106,8 @@ type Config struct {
 	// Simulated timestamps and single-goroutine emission make the trace
 	// byte-identical at any GOMAXPROCS (DESIGN.md §12).
 	Trace *obs.Tracer
-	// TracePid is the trace lane for this run (RunGrid assigns the
-	// 1-based flat task index; a lone Run defaults to 1).
+	// TracePid is the trace lane for this run; a lone Run defaults to
+	// 1. RunGrid adds each cell's 1-based flat task index to Base's.
 	TracePid uint64
 	// Predict configures the oracle fault predictor (DESIGN.md §13).
 	// The zero value disables prediction: no predictor RNG stream is
@@ -218,10 +218,12 @@ const schedCacheMax = 64
 // degenerate at age zero; the engine then degrades every interval to
 // the solo transfer cost and counts it in Result.ScheduleFallbacks.
 // Distribution values that are not comparable (slice-backed models
-// like Hyperexponential) skip the cache.
+// like Hyperexponential) skip the cache, and so do traced runs, whose
+// build spans (on the run's lane, tid 0) must not depend on what ran
+// earlier in the process.
 func scheduleFor(cfg Config) *markov.Schedule {
 	solo := cfg.CheckpointMB / cfg.LinkMBps
-	cacheable := cfg.ScheduleDist != nil && reflect.ValueOf(cfg.ScheduleDist).Comparable()
+	cacheable := cfg.Trace == nil && cfg.ScheduleDist != nil && reflect.ValueOf(cfg.ScheduleDist).Comparable()
 	var key schedKey
 	if cacheable {
 		key = schedKey{d: cfg.ScheduleDist, solo: solo, horizon: cfg.Duration}
@@ -240,7 +242,7 @@ func scheduleFor(cfg Config) *markov.Schedule {
 	// the run duration, so extensions only happen when MaxIntervals
 	// truncates the plan (counted as fallbacks) or the model is
 	// memoryless (periodic by design).
-	s, err := model.BuildSchedule(0, markov.ScheduleOptions{Horizon: cfg.Duration})
+	s, err := model.BuildSchedule(0, markov.ScheduleOptions{Horizon: cfg.Duration, Trace: cfg.Trace, TracePid: cfg.TracePid})
 	if err != nil {
 		s = nil // degenerate models are memoized too
 	}

@@ -4,9 +4,8 @@ import "github.com/cycleharvest/ckptsched/internal/obs"
 
 // Ledger is the predictor score card of one simulation run or live
 // session: parallel.Result and live.Sample embed it, so both engines
-// book alarms, settle evictions, emit the predict.* trace events and
-// flush Metrics through the same code. All zero when prediction is
-// disabled.
+// book alarms, settle evictions and emit the predict.* trace events
+// through the same code. All zero when prediction is disabled.
 type Ledger struct {
 	// Predictions counts predictor alarms fired (true and false);
 	// PredHits counts failures that arrived with a true alarm raised,
@@ -76,15 +75,4 @@ func (l *Ledger) Add(o Ledger) {
 	l.ProactiveCheckpoints += o.ProactiveCheckpoints
 	l.Migrations += o.Migrations
 	l.MigrationMB += o.MigrationMB
-}
-
-// Flush adds the ledger to Metrics; call it once, when the run or
-// session that kept the ledger ends.
-func (l *Ledger) Flush() {
-	Metrics.Fired.Add(uint64(l.Predictions))
-	Metrics.Hits.Add(uint64(l.PredHits))
-	Metrics.False.Add(uint64(l.PredFalse))
-	Metrics.Missed.Add(uint64(l.PredMissed))
-	Metrics.ProactiveCheckpoints.Add(uint64(l.ProactiveCheckpoints))
-	Metrics.Migrations.Add(uint64(l.Migrations))
 }

@@ -203,7 +203,6 @@ func (fr *FastRunning) serveConn(c net.Conn) {
 			return
 		}
 		s.m.requests.Inc()
-		s.m.intervalReqs.Inc()
 		key, age, ok := parseFastRequest(line)
 		if ok && len(key) <= len(keyBuf) {
 			key = keyBuf[:copy(keyBuf[:], key)]

@@ -2,8 +2,8 @@ package serve
 
 import "github.com/cycleharvest/ckptsched/internal/obs"
 
-// latencyBuckets is the request-latency histogram layout: 50 µs floors
-// (an in-process schedule lookup) through multi-second fit tails.
+// latencyBuckets is the interval-latency histogram layout: 50 µs
+// floors (an in-process schedule lookup) through multi-second tails.
 var latencyBuckets = []float64{
 	50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3,
@@ -16,13 +16,11 @@ var latencyBuckets = []float64{
 type serveMetrics struct {
 	// requests counts every request that reached the router; shed the
 	// ones admission control turned away with 429, and errors every
-	// other non-2xx response. inflight is the live request gauge.
+	// other non-2xx response.
 	requests, shed, errors *obs.Counter
-	inflight               *obs.Gauge
-	// Per-route request counters and latency histograms; latency is
-	// observed only for requests that produced a 2xx.
-	fitReqs, schedReqs, intervalReqs *obs.Counter
-	fitLat, schedLat, intervalLat    *obs.Histogram
+	// intervalLat is the interval route's latency, observed only for
+	// lookups that produced a 2xx.
+	intervalLat *obs.Histogram
 	// Schedule-store accounting: completed builds, POSTs that joined an
 	// in-flight or finished build instead of rebuilding, entries
 	// dropped by the size bound, and the resident-entry gauge.
@@ -37,18 +35,6 @@ func (m *serveMetrics) register(r *obs.Registry) {
 		"Requests shed by admission control (HTTP 429).")
 	m.errors = r.Counter("serve_errors_total",
 		"Requests answered with a non-2xx status other than 429.")
-	m.inflight = r.Gauge("serve_inflight",
-		"Requests currently being served.")
-	m.fitReqs = r.Counter("serve_fit_requests_total",
-		"POST /v1/fit requests.")
-	m.schedReqs = r.Counter("serve_schedule_requests_total",
-		"POST /v1/schedule requests.")
-	m.intervalReqs = r.Counter("serve_interval_requests_total",
-		"GET /v1/schedule/{key}/interval requests.")
-	m.fitLat = r.Histogram("serve_fit_latency_seconds",
-		"Successful /v1/fit latency.", latencyBuckets)
-	m.schedLat = r.Histogram("serve_schedule_latency_seconds",
-		"Successful /v1/schedule latency.", latencyBuckets)
 	m.intervalLat = r.Histogram("serve_interval_latency_seconds",
 		"Successful interval-lookup latency.", latencyBuckets)
 	m.builds = r.Counter("serve_schedule_builds_total",

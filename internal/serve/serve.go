@@ -9,7 +9,7 @@
 //	POST /v1/schedule                     fit (or take params) and build a checkpoint schedule
 //	GET  /v1/schedule/{key}               the stored schedule, in full
 //	GET  /v1/schedule/{key}/interval?age= the O(1) interval lookup — the hot path
-//	GET  /healthz, /metrics, /metrics/history, /debug/vars, /debug/trace/snapshot
+//	GET  /healthz, /metrics, /metrics/history, /debug/trace/snapshot
 //	GET  /debug/pprof/* (behind Options.Pprof)
 //
 // Three layers make it sustain load (cmd/ckpt-load drives ≥100k
@@ -190,8 +190,6 @@ func (s *Server) Schedules() int { return s.store.len() }
 // thousand times a second.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Inc()
-	s.m.inflight.Add(1)
-	defer s.m.inflight.Add(-1)
 	path := r.URL.Path
 	if key, ok := intervalKey(path); ok {
 		s.handleInterval(w, r, key)
@@ -277,12 +275,11 @@ type fitResponse struct {
 // else — including a shed — burns error budget.
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	ok := s.serveFit(w, r, start)
+	ok := s.serveFit(w, r)
 	s.sloFit.Observe(time.Since(start).Seconds(), ok)
 }
 
-func (s *Server) serveFit(w http.ResponseWriter, r *http.Request, start time.Time) bool {
-	s.m.fitReqs.Inc()
+func (s *Server) serveFit(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		s.errorf(w, http.StatusMethodNotAllowed, "POST only")
 		return false
@@ -336,7 +333,6 @@ func (s *Server) serveFit(w http.ResponseWriter, r *http.Request, start time.Tim
 		return false
 	}
 	s.writeJSON(w, fitResponse{Key: req.Key, Model: model.String(), Params: params, N: len(req.Data)})
-	s.m.fitLat.Observe(time.Since(start).Seconds())
 	return true
 }
 
@@ -373,12 +369,11 @@ type scheduleResponse struct {
 // every exit path, the same wrapper shape as handleFit.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	ok := s.serveSchedule(w, r, start)
+	ok := s.serveSchedule(w, r)
 	s.sloSched.Observe(time.Since(start).Seconds(), ok)
 }
 
-func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, start time.Time) bool {
-	s.m.schedReqs.Inc()
+func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		s.errorf(w, http.StatusMethodNotAllowed, "POST only")
 		return false
@@ -446,7 +441,6 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, start tim
 			return false
 		}
 		s.respondSchedule(w, req.Key, "", e.sched, true)
-		s.m.schedLat.Observe(time.Since(start).Seconds())
 		return true
 	}
 
@@ -457,7 +451,6 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, start tim
 		return false
 	}
 	s.respondSchedule(w, req.Key, model.String(), sched, false)
-	s.m.schedLat.Observe(time.Since(start).Seconds())
 	return true
 }
 
@@ -538,7 +531,6 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request, key stri
 }
 
 func (s *Server) serveInterval(w http.ResponseWriter, r *http.Request, key string, start time.Time) bool {
-	s.m.intervalReqs.Inc()
 	if r.Method != http.MethodGet {
 		s.errorf(w, http.StatusMethodNotAllowed, "GET only")
 		return false

@@ -475,8 +475,8 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestServeObservability exercises the side endpoints: healthz,
-// Prometheus metrics, expvar, and the trace snapshot (404 without a
-// tracer, JSON with one).
+// Prometheus metrics (no expvar), and the trace snapshot (404 without
+// a tracer, JSON with one).
 func TestServeObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Options{Registry: reg})
@@ -487,8 +487,8 @@ func TestServeObservability(t *testing.T) {
 		!strings.Contains(w.Body.String(), "serve_requests_total") {
 		t.Errorf("/metrics = %d, body lacks serve_requests_total", w.Code)
 	}
-	if w := getPath(s, "/debug/vars"); w.Code != http.StatusOK {
-		t.Errorf("/debug/vars = %d", w.Code)
+	if w := getPath(s, "/debug/vars"); w.Code != http.StatusNotFound {
+		t.Errorf("/debug/vars = %d, want 404", w.Code)
 	}
 	if w := getPath(s, "/debug/trace/snapshot"); w.Code != http.StatusNotFound {
 		t.Errorf("trace snapshot without tracer = %d, want 404", w.Code)

@@ -21,13 +21,14 @@ type MachineRun struct {
 // first work interval begins), and replays the experimental durations
 // through it. This is exactly the paper's per-machine simulation
 // protocol: "use each training set to calculate MLE parameters … then
-// simulate a job" over the remaining values.
+// simulate a job" over the remaining values. With cfg.Trace set, the
+// schedule build traces on the replay's own lane (cfg.TracePid, tid 0).
 func RunModel(train, test []float64, model fit.Model, cfg Config) (MachineRun, error) {
 	d, err := fit.Fit(model, train)
 	if err != nil {
 		return MachineRun{}, fmt.Errorf("sim: fit %v: %w", model, err)
 	}
-	return RunFitted(d, model, test, cfg)
+	return RunFitted(d, model, test, cfg, markov.ScheduleOptions{Trace: cfg.Trace, TracePid: cfg.TracePid})
 }
 
 // RunFitted is RunModel with the fitting stage factored out: it builds
@@ -35,8 +36,10 @@ func RunModel(train, test []float64, model fit.Model, cfg Config) (MachineRun, e
 // already-estimated availability distribution. The fit-once sweep in
 // internal/experiments uses it to share one fit.Cache entry across the
 // whole checkpoint-duration axis; the result is identical to RunModel
-// on the same fit.
-func RunFitted(d dist.Distribution, model fit.Model, test []float64, cfg Config) (MachineRun, error) {
+// on the same fit. build configures the schedule build — chiefly its
+// trace lane, which is the caller's to name — and its Horizon is
+// raised to cover the longest experimental period.
+func RunFitted(d dist.Distribution, model fit.Model, test []float64, cfg Config, build markov.ScheduleOptions) (MachineRun, error) {
 	m := markov.Model{Avail: d, Costs: cfg.Costs}
 
 	// Plan at least as far as the longest availability period so the
@@ -48,9 +51,8 @@ func RunFitted(d dist.Distribution, model fit.Model, test []float64, cfg Config)
 			maxAvail = a
 		}
 	}
-	sched, err := m.BuildSchedule(cfg.Costs.R, markov.ScheduleOptions{
-		Horizon: maxAvail + cfg.Costs.R + cfg.Costs.C + 1,
-	})
+	build.Horizon = max(build.Horizon, maxAvail+cfg.Costs.R+cfg.Costs.C+1)
+	sched, err := m.BuildSchedule(cfg.Costs.R, build)
 	if err != nil {
 		return MachineRun{}, fmt.Errorf("sim: schedule %v: %w", model, err)
 	}

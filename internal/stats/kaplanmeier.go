@@ -105,12 +105,5 @@ func (km *KaplanMeier) Median() float64 {
 	return math.NaN()
 }
 
-// Points returns the survival-curve steps (event times only).
-func (km *KaplanMeier) Points() []KMPoint {
-	out := make([]KMPoint, len(km.points))
-	copy(out, km.points)
-	return out
-}
-
 // N returns the number of subjects.
 func (km *KaplanMeier) N() int { return km.n }

@@ -30,8 +30,8 @@ func TestKaplanMeierTextbookExample(t *testing.T) {
 	if got := km.Survival(100); !almostEqual(got, 0.8*2.0/3, 1e-12) {
 		t.Errorf("S(100) = %g (curve is flat beyond last event)", got)
 	}
-	if km.N() != 5 || len(km.Points()) != 2 {
-		t.Errorf("N=%d points=%d", km.N(), len(km.Points()))
+	if km.N() != 5 || len(km.points) != 2 {
+		t.Errorf("N=%d points=%d", km.N(), len(km.points))
 	}
 }
 

@@ -131,12 +131,6 @@ type CI struct {
 	N         int
 }
 
-// Lo returns the lower bound of the interval.
-func (c CI) Lo() float64 { return c.Mean - c.HalfWidth }
-
-// Hi returns the upper bound of the interval.
-func (c CI) Hi() float64 { return c.Mean + c.HalfWidth }
-
 // MeanCI returns the two-sided Student-t confidence interval for the
 // mean of xs at the given level (e.g. 0.95 as in the paper's tables).
 func MeanCI(xs []float64, level float64) (CI, error) {

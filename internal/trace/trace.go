@@ -103,16 +103,6 @@ func (t *Trace) Split(n int) (train, test []float64, err error) {
 	return d[:n], d[n:], nil
 }
 
-// TotalAvailability returns the sum of all recorded durations in
-// seconds.
-func (t *Trace) TotalAvailability() float64 {
-	sum := 0.0
-	for _, r := range t.Records {
-		sum += r.Duration
-	}
-	return sum
-}
-
 // Set is a collection of per-machine traces, as gathered from a pool.
 type Set struct {
 	// Traces maps machine name to its trace.
@@ -209,21 +199,4 @@ func Generate(opts GenerateOptions) (*Trace, error) {
 		now = now.Add(time.Duration(gap * float64(time.Second)))
 	}
 	return tr, nil
-}
-
-// PaperSyntheticTrace reproduces the paper's Table 2 workload: 5000
-// availability durations drawn from a Weibull with shape 0.43 and
-// scale 3409 (the MLE fit of a machine trace chosen at random).
-func PaperSyntheticTrace(seed int64) *Trace {
-	tr, err := Generate(GenerateOptions{
-		Machine: "paper-weibull-0.43-3409",
-		N:       5000,
-		Avail:   dist.NewWeibull(0.43, 3409),
-		Seed:    seed,
-	})
-	if err != nil {
-		// Unreachable: all options are valid by construction.
-		panic(err)
-	}
-	return tr
 }

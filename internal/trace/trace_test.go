@@ -64,15 +64,6 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-func TestTotalAvailability(t *testing.T) {
-	tr := &Trace{Machine: "m"}
-	tr.Append(Record{Start: ts(0), Duration: 10})
-	tr.Append(Record{Start: ts(100), Duration: 20.5})
-	if got := tr.TotalAvailability(); got != 30.5 {
-		t.Errorf("total = %g", got)
-	}
-}
-
 func TestSetAddAndFilter(t *testing.T) {
 	s := NewSet()
 	for i := range 30 {
@@ -152,16 +143,24 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// TestPaperSyntheticTrace generates the paper's Table 2 workload —
+// 5000 durations from Weibull(0.43, 3409) — and checks its sample mean.
 func TestPaperSyntheticTrace(t *testing.T) {
-	tr := PaperSyntheticTrace(1)
+	tr, err := Generate(GenerateOptions{N: 5000, Avail: dist.NewWeibull(0.43, 3409), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tr.Len() != 5000 {
 		t.Fatalf("len = %d, want 5000", tr.Len())
 	}
 	// The sample mean should be near the analytic mean of
 	// Weibull(0.43, 3409): β·Γ(1+1/α) ≈ 9147 s.
 	want := 3409 * math.Gamma(1+1/0.43)
-	got := tr.TotalAvailability() / 5000
-	if math.Abs(got-want)/want > 0.15 {
+	sum := 0.0
+	for _, d := range tr.Durations() {
+		sum += d
+	}
+	if got := sum / 5000; math.Abs(got-want)/want > 0.15 {
 		t.Errorf("sample mean %g, want ≈%g", got, want)
 	}
 }
