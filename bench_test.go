@@ -598,6 +598,12 @@ func BenchmarkParallelRun(b *testing.B) {
 			Duration:     duration,
 			Seed:         11,
 		}
+		// One untimed run first: it fills parallel's schedule cache, so
+		// every -count repetition times the steady state, not the one
+		// in the process that happens to build the schedule.
+		if _, err := parallel.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 		var eff float64
 		b.ReportAllocs()
 		b.ResetTimer()

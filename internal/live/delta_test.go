@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/cycleharvest/ckptsched/internal/ckptnet"
+	"github.com/cycleharvest/ckptsched/internal/dist"
+	"github.com/cycleharvest/ckptsched/internal/markov"
 	"github.com/cycleharvest/ckptsched/internal/obs"
 )
 
@@ -216,5 +218,98 @@ func TestEvictionMidDeltaChargesTheDelta(t *testing.T) {
 	}
 	if midDelta == 0 {
 		t.Fatal("no session was evicted mid-delta; pick a seed that exercises the path")
+	}
+}
+
+// deltaLaws are the availability laws the var-C checks plan against:
+// the paper's exponential and Weibull fits and gamma.golden's 2-phase
+// hyperexponential.
+func deltaLaws() []dist.Distribution {
+	return []dist.Distribution{
+		dist.NewExponential(1.0 / 9000),
+		dist.NewWeibull(0.43, 3409),
+		dist.NewHyperexponential([]float64{0.7, 0.3}, []float64{1.0 / 1000, 1.0 / 20000}),
+	}
+}
+
+// TestDeltaPlanEqualsBill: the C(T) the planner prices a delta with is
+// what the meter bills for it. On a noiseless link with a fixed
+// per-transfer cost, every checkpoint a var-C session without a
+// forecast commits takes exactly the seconds decide's curve gave the
+// interval it closes.
+func TestDeltaPlanEqualsBill(t *testing.T) {
+	link := ckptnet.CampusLink()
+	link.Sigma = 0
+	for _, d := range deltaLaws() {
+		tr := obs.NewTracer(obs.TracerOptions{FullFidelity: true, RingCapacity: -1})
+		s := &session{
+			cfg: CampaignConfig{
+				Link: link, CheckpointMB: 500, HeartbeatSec: 10, Tracer: tr,
+				Delta: DeltaPolicy{Enabled: true, DirtyRate: 0.001, VariableCost: true},
+			},
+			avail:     d,
+			pid:       1,
+			reclaimAt: 20000,
+			bytes:     500 * ckptnet.MB,
+		}
+		s.run()
+		// Without a forecast the curve's anchor is the recovery, so the
+		// curve decide built for every interval is the one it builds now.
+		cost := s.deltaCost()
+		if cost == nil {
+			t.Fatalf("%s: no cost curve after the recovery", d.Name())
+		}
+		var topts []float64
+		for _, e := range tr.Events() {
+			if e.Name != "topt" {
+				continue
+			}
+			for _, a := range e.Attrs {
+				if a.Key == "t_opt" {
+					topts = append(topts, a.Value().(float64))
+				}
+			}
+		}
+		// MeasuredCs holds the recovery, then one entry per committed
+		// checkpoint, each closing the interval the matching decide
+		// planned.
+		billed := s.MeasuredCs[1:]
+		if s.Checkpoints < 10 || s.DeltaCheckpoints != s.Checkpoints || len(billed) != s.Checkpoints || len(topts) < len(billed) {
+			t.Fatalf("%s: %d checkpoints (%d deltas), %d measured, %d decisions",
+				d.Name(), s.Checkpoints, s.DeltaCheckpoints, len(billed), len(topts))
+		}
+		for i, got := range billed {
+			if want := cost(topts[i]); math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%s checkpoint %d: planned C(%g) = %.12g s, billed %.12g s", d.Name(), i, topts[i], want, got)
+			}
+		}
+	}
+}
+
+// TestDeltaCostToptAboveFloor: priced with the fixed cost the link
+// bills, a delta is never free, so the optimum is an interior point
+// and not the search's lower bound — which is what a curve that falls
+// to zero with T gives.
+func TestDeltaCostToptAboveFloor(t *testing.T) {
+	link := ckptnet.CampusLink()
+	bytes := int64(500 * ckptnet.MB)
+	s := &session{
+		cfg:     CampaignConfig{Link: link, Delta: DeltaPolicy{Enabled: true, DirtyRate: 0.001, VariableCost: true}},
+		bytes:   bytes,
+		hasBase: true,
+		fullSec: link.TransferTime(bytes, nil),
+	}
+	opts := markov.OptimizeOptions{TMin: 1}
+	for _, d := range deltaLaws() {
+		m := markov.Model{Avail: d, Costs: markov.Costs{C: 110, R: 110, L: 110}, CostFn: s.deltaCost()}
+		for _, age := range []float64{0, 110} {
+			T, _, err := m.Topt(age, opts)
+			if err != nil {
+				t.Fatalf("%s age %g: %v", d.Name(), age, err)
+			}
+			if !(T > opts.TMin) {
+				t.Errorf("%s age %g: T_opt = %g, on the search floor %g", d.Name(), age, T, opts.TMin)
+			}
+		}
 	}
 }

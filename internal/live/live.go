@@ -52,6 +52,7 @@ import (
 	"github.com/cycleharvest/ckptsched/internal/dist"
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/forecast"
+	"github.com/cycleharvest/ckptsched/internal/imagestore"
 	"github.com/cycleharvest/ckptsched/internal/markov"
 	"github.com/cycleharvest/ckptsched/internal/obs"
 	"github.com/cycleharvest/ckptsched/internal/predict"
@@ -153,10 +154,9 @@ type DeltaPolicy struct {
 	// DirtyRate is the per-chunk dirtying rate in 1/seconds (default
 	// 0.002: a chunk's expected untouched lifetime is ~8 minutes).
 	DirtyRate float64
-	// VariableCost schedules with the interval-dependent cost curve
-	// C(T) built from forecast.CostModel over the session's bandwidth
-	// estimate, instead of the constant last-measured cost. Requires
-	// Enabled.
+	// VariableCost schedules with the interval-dependent cost C(T)
+	// the link bills a delta checkpoint (session.deltaCost), instead of
+	// the constant last-measured cost. Requires Enabled.
 	VariableCost bool
 }
 
@@ -580,9 +580,6 @@ const (
 	evicted                 // the owner reclaimed the machine
 )
 
-// Dedup chunks are 64 KiB, matching imagestore.DefaultChunkSize.
-const chunkBytes = 64 << 10
-
 // runSession replays sample idx's session over its allocation and
 // returns the score card. Over a ChaosLink the session gains two
 // behaviours: torn transfers are retried with exponential backoff, and
@@ -837,15 +834,36 @@ func (s *session) transfer(name string, checkpoint bool) ending {
 }
 
 // deltaWire is the expected bytes-on-wire for a checkpoint taken after
-// workSec seconds of uncommitted work, rounded to whole chunks (at
-// least one: the manifest always moves something). It is a
+// workSec seconds of uncommitted work, rounded to whole image-store
+// chunks (at least one: the manifest always moves something). It is a
 // deterministic function of the uncommitted-work window, so the delta
-// path draws exactly the same RNG sequence as the full path.
+// path draws exactly the same RNG sequence as the full path. transfer
+// bills it and deltaCost plans with it.
 func (s *session) deltaWire(workSec float64) int64 {
-	numChunks := (s.bytes + chunkBytes - 1) / chunkBytes
+	const chunk = imagestore.DefaultChunkSize
+	numChunks := imagestore.NumChunks(s.bytes, chunk)
 	f := -math.Expm1(-s.cfg.Delta.DirtyRate * workSec)
 	dirty := max(int64(math.Round(float64(numChunks)*f)), 1)
-	return min(dirty*chunkBytes, s.bytes)
+	return min(dirty*chunk, s.bytes)
+}
+
+// fixedSec is the link's per-transfer cost, whatever the payload: the
+// time of an empty transfer.
+func (s *session) fixedSec() float64 { return s.cfg.Link.TransferTime(0, nil) }
+
+// deltaCost is the planner's C(T): what transfer bills a delta
+// checkpoint after T seconds of work on a noiseless link — the fixed
+// cost plus deltaWire(T) over the bandwidth estimate. The fixed term
+// is what keeps the optimum off the search floor: without it C(T) ≈ k·T
+// near zero, and Γ/T falls all the way down to TMin. It is nil until
+// the session has a bandwidth anchor.
+func (s *session) deltaCost() markov.CostFunc {
+	bw := s.bandwidthEst()
+	if !(bw > 0) {
+		return nil
+	}
+	fixed := s.fixedSec()
+	return func(T float64) float64 { return fixed + float64(s.deltaWire(T))/bw }
 }
 
 // planningC is the transfer cost the next interval is planned with: the
@@ -861,16 +879,18 @@ func (s *session) planningC() float64 {
 
 // bandwidthEst anchors the variable-cost curve: the shared forecast
 // when one is running, else the session's own full-image measurement
-// (delta transfer times are the wrong anchor — their size varies with
-// the interval, which is the very thing the curve models).
+// with the link's fixed cost netted out, so that deltaCost adds it
+// back exactly once (delta transfer times are the wrong anchor — their
+// size varies with the interval, which is the very thing the curve
+// models).
 func (s *session) bandwidthEst() float64 {
 	if s.forecast != nil {
 		if bw, err := s.forecast.Bandwidth(); err == nil {
 			return bw
 		}
 	}
-	if s.fullSec > 0 {
-		return float64(s.bytes) / s.fullSec
+	if payload := s.fullSec - s.fixedSec(); payload > 0 {
+		return float64(s.bytes) / payload
 	}
 	return 0
 }
@@ -901,10 +921,7 @@ func (s *session) decide() {
 			// longer interval dirties more chunks and ships more bytes. A
 			// nil curve (no bandwidth anchor yet) falls back to the
 			// constant measured cost.
-			m.CostFn = forecast.CostModel{
-				FullBytes: s.bytes,
-				DirtyRate: s.cfg.Delta.DirtyRate,
-			}.Curve(s.bandwidthEst())
+			m.CostFn = s.deltaCost()
 		}
 		var err error
 		if s.topt, _, err = m.Topt(age, markov.OptimizeOptions{}); err != nil {

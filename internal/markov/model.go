@@ -54,7 +54,7 @@ type Costs struct {
 // degenerates toward "checkpoint continuously for free"), and in
 // practice a measured zero means a fully deduped delta transfer — a
 // lucky sample, not a cost model. Callers with measured costs should
-// floor them (see forecast.CostModel) before building Costs.
+// floor them before building Costs.
 var ErrZeroCost = errors.New("markov: checkpoint cost must be positive")
 
 // NewCosts builds Costs with the paper's conventions: if r < 0 it

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -26,12 +27,6 @@ type Schedule struct {
 	Ratios []float64
 	// Costs echoes the overhead parameters the schedule was built for.
 	Costs Costs
-	// CkptCosts[i] is the per-interval checkpoint cost C(T_opt(i)), in
-	// seconds. It is populated only when the model carried a variable
-	// cost curve (Model.CostFn); constant-C schedules leave it nil and
-	// every consumer falls back to Costs.C, keeping their structure —
-	// and JSON encoding — identical to pre-CostFn schedules.
-	CkptCosts []float64 `json:",omitempty"`
 
 	// bounds caches Ages[i] + Intervals[i] + Costs.C — the age at which
 	// interval i's checkpoint completes — so lookups can index instead
@@ -64,17 +59,7 @@ func (s *Schedule) Horizon() float64 {
 	if n == 0 {
 		return 0
 	}
-	return s.Ages[n-1] + s.Intervals[n-1] + s.ckptCost(n-1)
-}
-
-// ckptCost returns the checkpoint cost charged after interval i:
-// the per-interval C(T_opt(i)) when the schedule carries a variable
-// cost curve, the constant Costs.C otherwise.
-func (s *Schedule) ckptCost(i int) float64 {
-	if i >= 0 && i < len(s.CkptCosts) {
-		return s.CkptCosts[i]
-	}
-	return s.Costs.C
+	return s.Ages[n-1] + s.Intervals[n-1] + s.Costs.C
 }
 
 // IntervalAt returns the planned work interval in effect for a
@@ -165,7 +150,7 @@ func (s *Schedule) rebuildBounds() {
 	n := len(s.Intervals)
 	b := make([]float64, n)
 	for i := range s.Intervals {
-		b[i] = s.Ages[i] + s.Intervals[i] + s.ckptCost(i)
+		b[i] = s.Ages[i] + s.Intervals[i] + s.Costs.C
 	}
 	s.bounds = b
 	if n == 0 || b[n-1] <= 0 {
@@ -245,7 +230,14 @@ func (o *ScheduleOptions) setDefaults() {
 // intervals commit (age accrues work plus checkpoint time). For a
 // memoryless (exponential) model every interval is identical and the
 // schedule is effectively periodic.
+//
+// A schedule charges the constant Costs.C after every interval, so a
+// model with a CostFn is rejected: its intervals are planned one at a
+// time with Topt, as the live delta sessions do.
 func (m Model) BuildSchedule(startAge float64, opts ScheduleOptions) (*Schedule, error) {
+	if m.CostFn != nil {
+		return nil, errors.New("markov: BuildSchedule charges a constant C; plan a model with a CostFn with Topt")
+	}
 	opts.setDefaults()
 	if startAge < 0 {
 		startAge = 0
@@ -312,13 +304,8 @@ func (m Model) BuildSchedule(startAge float64, opts ScheduleOptions) (*Schedule,
 		s.Intervals = append(s.Intervals, T)
 		s.Ages = append(s.Ages, age)
 		s.Ratios = append(s.Ratios, ratio)
-		ckptC := m.Costs.C
-		if m.CostFn != nil {
-			ckptC, _ = m.costAt(T)
-			s.CkptCosts = append(s.CkptCosts, ckptC)
-		}
 		prevT = T
-		age += T + ckptC
+		age += T + m.Costs.C
 		if age >= opts.Horizon {
 			break
 		}

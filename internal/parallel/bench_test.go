@@ -93,12 +93,14 @@ func BenchmarkWheelCohort(b *testing.B) {
 
 // BenchmarkEngineSteadyState measures the full event loop on a mid-size
 // herd — the per-event cost of the tournament, wheel, ring and rate
-// bookkeeping together, without the cross-package schedule-build cost
-// the root BenchmarkParallelRun folds in (the memo cache hides it after
-// the first iteration there; here the config is fixed so it always
-// hits).
+// bookkeeping together, without the schedule-build cost: an untimed
+// run fills the memo cache before the loop, so every iteration of
+// every -count repetition hits it.
 func BenchmarkEngineSteadyState(b *testing.B) {
 	cfg := benchConfig(1024)
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
+	}
 	var eff float64
 	b.ReportAllocs()
 	b.ResetTimer()
