@@ -300,6 +300,64 @@ func TestDeltaResumeAdoptsCommittedImage(t *testing.T) {
 	}
 }
 
+// TestZeroByteContentImageRecoversFull commits an empty content image
+// and reconnects: the recovery must announce it as a content image at
+// its generation — the client's cue to adopt it as a delta base — and
+// not as the legacy zero stream, although it has no bytes and no chunks.
+func TestZeroByteContentImageRecoversFull(t *testing.T) {
+	mgr, err := NewManager(StaticAssigner(fit.ModelExponential, []float64{1.0 / 9000}, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := mgr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	connect := func(h Hello) (net.Conn, DataBegin) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var assign Assign
+		var begin DataBegin
+		if err := WriteFrame(conn, MsgHello, h); err != nil {
+			t.Fatal(err)
+		}
+		if ft, err := ReadFrame(conn, &assign); err != nil || ft != MsgAssign {
+			t.Fatalf("assign: %v %v", ft, err)
+		}
+		if ft, err := ReadFrame(conn, &begin); err != nil || ft != MsgRecoveryBegin {
+			t.Fatalf("recovery begin: %v %v", ft, err)
+		}
+		return conn, begin
+	}
+
+	conn, begin := connect(Hello{JobID: "empty-1"})
+	if begin.Mode != ModeLegacy || begin.Bytes != 0 {
+		t.Fatalf("first recovery: %+v, want a legacy zero-byte stream", begin)
+	}
+	db, wire := encodeCheckpoint(imagestore.NewImage(0, 4096, 1), &DeltaConfig{}, false)
+	if err := WriteFrame(conn, MsgCheckpointBegin, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRawData(conn, wire); err != nil {
+		t.Fatal(err)
+	}
+	var ack CheckpointAck
+	if ft, err := ReadFrame(conn, &ack); err != nil || ft != MsgCheckpointAck || ack.Gen != 1 {
+		t.Fatalf("empty full checkpoint: frame %d gen %d err %v, want ack of generation 1", ft, ack.Gen, err)
+	}
+	conn.Close()
+
+	conn, begin = connect(Hello{JobID: "empty-1", Resume: true, Attempt: 1})
+	defer conn.Close()
+	if begin.Mode != ModeFull || begin.Gen != 1 || begin.Bytes != 0 {
+		t.Fatalf("recovery of the empty content image: %+v, want mode %q at generation 1, 0 bytes", begin, ModeFull)
+	}
+}
+
 // TestDeltaCompressedCheckpoint pins the compressed wire path: a
 // compressible image ships fewer bytes than its raw payload and still
 // commits bit-exact content.
@@ -338,10 +396,11 @@ func TestDeltaCompressedCheckpoint(t *testing.T) {
 	// A compressible image: repeated text, not the incompressible
 	// pseudo-random fill NewImage produces.
 	img := imagestore.NewImage(imgBytes, 4096, 1)
-	data := img.Bytes()
+	data := make([]byte, imgBytes)
 	for i := range data {
 		data[i] = byte("checkpoint-image "[i%17])
 	}
+	img.WriteAt(data, 0)
 	db, wire := encodeCheckpoint(img, &DeltaConfig{Compress: true}, false)
 	if db.Encoding != "flate" || db.Bytes >= int64(imgBytes) {
 		t.Fatalf("compressible image did not compress: %+v", db)

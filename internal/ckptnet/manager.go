@@ -272,12 +272,13 @@ func (m *Manager) Sessions() []*SessionLog {
 }
 
 // image is a job's last good checkpoint as commit recorded it: the
-// exported metadata plus, for a content-mode job, the committed bytes
-// (aliasing the store's copy, which is never mutated in place). The
+// exported metadata plus, for a content-mode job, the committed chunks
+// (the store's own, which are never modified after their commit). The
 // next recovery announces and streams exactly this.
 type image struct {
 	ImageRecord
-	data []byte // nil for a legacy zero image
+	content bool     // false for a legacy zero image
+	chunks  [][]byte // the content image, chunk by chunk
 }
 
 // Image returns the last good checkpoint image record for a job, if
@@ -298,9 +299,9 @@ var errMode = errors.New("ckptnet: unknown transfer mode")
 // the whole stream has arrived and b.CRC32 holds its verified checksum.
 // A legacy image is its size and checksum; a content image is decoded
 // (inflated when b announces an encoding) and committed to the store
-// whole or applied as a delta, and the record is then read back from
-// the store, the source of its generation. Any error leaves the last
-// good image untouched and maps to a Nack in serve.
+// whole or applied as a delta, and the record and chunk list are then
+// read back from the store, the source of its generation. Any error
+// leaves the last good image untouched and maps to a Nack in serve.
 func (m *Manager) commit(jobID string, b DataBegin, payload []byte) (ImageRecord, error) {
 	img := image{ImageRecord: ImageRecord{Bytes: b.Bytes, CRC32: b.CRC32}}
 	switch b.Mode {
@@ -333,8 +334,9 @@ func (m *Manager) commit(jobID string, b DataBegin, payload []byte) (ImageRecord
 		}, data); err != nil {
 			return ImageRecord{}, err
 		}
-		img.data, _, img.Generation, img.CRC32, _ = m.store.Lookup(jobID)
-		img.Bytes = int64(len(img.data))
+		var man imagestore.Manifest
+		img.chunks, man, img.Generation, img.CRC32, _ = m.store.Chunks(jobID)
+		img.Bytes, img.content = man.Size, true
 	default:
 		return ImageRecord{}, fmt.Errorf("%w %q", errMode, b.Mode)
 	}
@@ -440,7 +442,7 @@ func (m *Manager) serve(conn net.Conn) {
 	if ok {
 		recBegin.Bytes, recBegin.CRC32 = img.Bytes, img.CRC32
 	}
-	if img.data != nil {
+	if img.content {
 		// Content job: stream the committed image itself and announce
 		// its generation so the client re-adopts it as a delta base.
 		recBegin.Mode, recBegin.Gen = ModeFull, img.Generation
@@ -451,7 +453,7 @@ func (m *Manager) serve(conn net.Conn) {
 	rsp := tr.StartSpan(pid, tid, "transfer.recovery").SetAttr(
 		obs.AttrInt("bytes", recBegin.Bytes),
 		obs.AttrStr("mode", recBegin.Mode))
-	if err := send(rw, recBegin, img.data); err != nil {
+	if err := send(rw, recBegin, img.chunks...); err != nil {
 		seq := m.record(log, EvRecoveryInterrupted, 0)
 		rsp.SetAttr(obs.AttrStr("outcome", "interrupted"), obs.AttrInt("seq", seq)).End()
 		return

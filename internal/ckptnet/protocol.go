@@ -325,12 +325,18 @@ func receive(r io.Reader, b DataBegin) (payload []byte, got int64, crc uint32, e
 }
 
 // send writes the raw stream b announces, after its frame: b.Bytes
-// zeros in legacy mode, data in the content modes.
-func send(w io.Writer, b DataBegin, data []byte) error {
+// zeros in legacy mode, the data slices one after another in the
+// content modes.
+func send(w io.Writer, b DataBegin, data ...[]byte) error {
 	if b.Mode == ModeLegacy {
 		return WriteData(w, b.Bytes)
 	}
-	return WriteRawData(w, data)
+	for _, d := range data {
+		if err := WriteRawData(w, d); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // zeroCRCMemo memoizes ZeroCRC by size (int64 → uint32). Callers pass

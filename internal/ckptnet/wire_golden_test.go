@@ -43,14 +43,16 @@ const (
 
 func newWireScript() wireScript {
 	img := imagestore.NewImage(wireImageBytes, wireChunk, 1)
-	for i := range img.Bytes() {
-		img.Bytes()[i] = byte(i*7 + 3)
+	content := make([]byte, wireImageBytes)
+	for i := range content {
+		content[i] = byte(i*7 + 3)
 	}
+	img.WriteAt(content, 0)
 	full, fullWire := encodeCheckpoint(img, &DeltaConfig{}, false)
 	fullWire = append([]byte(nil), fullWire...)
 	img.CommitBase(1)
-	img.Bytes()[wireChunk+6] ^= 0xFF
-	img.Bytes()[3*wireChunk] ^= 0x0F
+	img.WriteAt([]byte{img.Bytes()[wireChunk+6] ^ 0xFF}, wireChunk+6)
+	img.WriteAt([]byte{img.Bytes()[3*wireChunk] ^ 0x0F}, 3*wireChunk)
 	delta, deltaWire := encodeCheckpoint(img, &DeltaConfig{}, false)
 	gen2CRC := crc32.ChecksumIEEE(img.Bytes())
 	torn := append([]byte(nil), deltaWire...)

@@ -20,8 +20,10 @@ func BenchmarkChunkDedup(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaEncode measures full client-side delta encoding
-// (manifest + diff + payload assembly) against a committed base.
+// BenchmarkDeltaEncode measures client-side delta encoding against a
+// committed base: hash the marked chunks, compare each with its base
+// sum, assemble the payload. Nothing commits between iterations, so
+// each one re-encodes the pending chunks, as a retry does.
 func BenchmarkDeltaEncode(b *testing.B) {
 	im := NewImage(16<<20, DefaultChunkSize, 2)
 	im.CommitBase(1)
@@ -38,8 +40,9 @@ func BenchmarkDeltaEncode(b *testing.B) {
 }
 
 // BenchmarkApplyDelta measures the manager's side of a delta
-// checkpoint — verify the dirty chunks, patch image and manifest,
-// checksum the result — on a 16 MB image with 10% of chunks dirty.
+// checkpoint — verify the dirty chunks, patch the chunk list and
+// manifest, combine the CRC, and now and then copy the image flat —
+// on a 16 MB image with 10% of chunks dirty.
 func BenchmarkApplyDelta(b *testing.B) {
 	im := NewImage(16<<20, DefaultChunkSize, 3)
 	s := NewStore()
@@ -61,7 +64,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 
 // BenchmarkCommitBase measures the client's side of a delta checkpoint
 // from encode to commit — EncodeDelta, then CommitBase on the Ack —
-// which is one hashing pass over the image, not two.
+// which hashes the marked chunks once and nothing else.
 func BenchmarkCommitBase(b *testing.B) {
 	im := NewImage(16<<20, DefaultChunkSize, 4)
 	im.CommitBase(1)

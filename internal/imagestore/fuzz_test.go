@@ -2,6 +2,7 @@ package imagestore
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 )
 
@@ -62,10 +63,38 @@ func FuzzApplyDelta(f *testing.F) {
 		if newGen != gen+1 || curGen != newGen || curCRC != newCRC || int64(len(data)) != size {
 			t.Fatalf("commit bookkeeping: gen %d→%d (lookup %d), %d bytes for size %d", gen, newGen, curGen, len(data), size)
 		}
-		// The store patches its manifest; it must be the one a hashing
-		// pass over the committed bytes would build.
+		// The store patches its manifest and combines its CRC from the
+		// chunk CRCs; both must be what a pass over the committed bytes
+		// computes, and the chunk list must hold those bytes.
 		if !sameManifest(man, BuildManifest(data, cs)) {
 			t.Fatalf("committed manifest drifted from the %d committed bytes", len(data))
+		}
+		if want := crc32.ChecksumIEEE(data); curCRC != want {
+			t.Fatalf("committed CRC %08x, the bytes' %08x", curCRC, want)
+		}
+		if chunks, _, _, _, _ := s.Chunks("job"); !bytes.Equal(bytes.Join(chunks, nil), data) {
+			t.Fatal("chunk list and Lookup disagree")
+		}
+	})
+}
+
+// FuzzCRCCombine holds the whole-image CRC the store combines from
+// chunk CRCs to crc32.ChecksumIEEE over the image, for arbitrary bytes
+// cut at arbitrary chunk sizes: it is announced in recovery frames, so
+// the value is a wire contract.
+func FuzzCRCCombine(f *testing.F) {
+	f.Add([]byte{}, 64)                             // the empty image
+	f.Add([]byte("a"), 1)                           // one one-byte chunk
+	f.Add([]byte("chunk size one, many chunks"), 1) // chunk size 1
+	f.Add(bytes.Repeat([]byte{0xA5}, 200), 64)      // a short final chunk
+	f.Add(bytes.Repeat([]byte{0}, 128), 64)         // zeros, chunk-aligned
+	f.Add(NewImage(4096+3, 0, 1).Bytes(), 1000)     // pseudo-random content
+	f.Fuzz(func(t *testing.T, data []byte, chunkSize int) {
+		if chunkSize <= 0 || chunkSize > len(data)+1 {
+			chunkSize = 1 + int(uint(chunkSize)%uint(len(data)+1))
+		}
+		if got, want := BuildManifest(data, chunkSize).imageCRC(), crc32.ChecksumIEEE(data); got != want {
+			t.Fatalf("%d bytes in %d-byte chunks: combined CRC %08x, ChecksumIEEE %08x", len(data), chunkSize, got, want)
 		}
 	})
 }

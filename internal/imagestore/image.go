@@ -1,24 +1,35 @@
 package imagestore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
 
 // Image is the client half of the store: a mutable checkpoint image
 // buffer plus the manifest of the last generation the server committed,
-// which deltas are encoded against. Synthetic workloads drive it with
-// MutateFraction (dirty a fraction of the chunks between checkpoints);
-// the checkpoint client encodes with EncodeDelta, ships the result, and
-// on Ack records the commit with CommitBase. Image is not safe for
-// concurrent use; each session owns its own.
+// which deltas are encoded against. Every chunk written since the
+// commit carries a dirty mark, so encoding a delta reads only the marked
+// chunks. Synthetic workloads drive it with MutateFraction (dirty a
+// fraction of the chunks between checkpoints), applications with
+// WriteAt; the checkpoint client encodes with EncodeDelta, ships the
+// result, and on Ack records the commit with CommitBase. Image is not
+// safe for concurrent use; each session owns its own.
 type Image struct {
 	chunkSize int
 	data      []byte
-	baseMan   Manifest // manifest of the last committed generation
-	baseGen   int      // 0 = nothing committed yet
-	encMan    Manifest // manifest of data as EncodeDelta last saw it; ChunkSize 0 = none
-	rng       *rand.Rand
+	// dirty[i] marks chunk i as possibly unlike baseMan.Sums[i]: written
+	// since the commit, or never committed at all.
+	dirty   []bool
+	baseMan Manifest // manifest of the last committed generation
+	baseGen int      // 0 = nothing committed yet
+	// pending is what EncodeDelta last shipped and CommitBase has not
+	// yet folded into baseMan: the indices it found dirty and their sums
+	// (the slices of the Delta it returned). encoded reports an encode
+	// since the last commit, even one that found nothing dirty.
+	pending Delta
+	encoded bool
+	rng     *rand.Rand
 }
 
 // NewImage builds an image of the given size filled with deterministic
@@ -28,12 +39,18 @@ func NewImage(size int64, chunkSize int, seed int64) *Image {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
+	n := NumChunks(size, chunkSize)
 	im := &Image{
 		chunkSize: chunkSize,
 		data:      make([]byte, size),
+		dirty:     make([]bool, n),
+		baseMan:   Manifest{ChunkSize: chunkSize, Size: size, Sums: make([]ChunkSum, n)},
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 	im.fill(im.data)
+	for i := range im.dirty {
+		im.dirty[i] = true // nothing is committed yet
+	}
 	return im
 }
 
@@ -44,11 +61,31 @@ func (im *Image) fill(b []byte) {
 	im.rng.Read(b)
 }
 
-// Bytes returns the image content. The slice aliases the image buffer;
-// callers must not hold it across a Mutate or Adopt. A write through
-// it between EncodeDelta and CommitBase is not part of the committed
-// base (the manager never received it); the next delta ships it.
+// Bytes returns the image content as a read-only view: the slice
+// aliases the image buffer, so it changes with the next WriteAt,
+// MutateFraction or Adopt. Writing through it is outside the contract
+// — the write sets no dirty mark, so no delta would ship it; write
+// with WriteAt.
 func (im *Image) Bytes() []byte { return im.data }
+
+// WriteAt copies p into the image at offset off and marks every chunk
+// it touches dirty, in the io.WriterAt shape. The image does not grow:
+// a write that would reach past its end writes nothing and returns an
+// error.
+func (im *Image) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 || off > im.Size()-int64(len(p)) {
+		return 0, fmt.Errorf("imagestore: write of %d bytes at offset %d outside a %d-byte image", len(p), off, im.Size())
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	copy(im.data[off:], p)
+	cs := int64(im.chunkSize)
+	for i := off / cs; i <= (off+int64(len(p))-1)/cs; i++ {
+		im.dirty[i] = true
+	}
+	return len(p), nil
+}
 
 // Size returns the image length in bytes.
 func (im *Image) Size() int64 { return int64(len(im.data)) }
@@ -76,7 +113,6 @@ func (im *Image) MutateFraction(frac float64) {
 	if n == 0 || frac <= 0 {
 		return
 	}
-	im.encMan = Manifest{}
 	if frac > 1 {
 		frac = 1
 	}
@@ -87,6 +123,7 @@ func (im *Image) MutateFraction(frac float64) {
 	for _, i := range im.rng.Perm(n)[:k] {
 		lo, hi := chunkSpan(i, im.chunkSize, im.Size())
 		im.fill(im.data[lo:hi])
+		im.dirty[i] = true
 	}
 }
 
@@ -104,44 +141,86 @@ func DirtyFraction(rate, workSec float64) float64 {
 // EncodeDelta diffs the current content against the committed base and
 // returns the delta manifest plus its raw payload. It must not be
 // called without a base (HasBase); the caller sends a full transfer
-// instead in that case. The image keeps the manifest it builds here —
-// the one whole-image hashing pass of a checkpoint — for CommitBase.
+// instead in that case. Only the marked chunks are read: each is
+// hashed and compared with its base sum, so a chunk rewritten with its
+// committed bytes dedups away. The chunks a previous encode shipped
+// that no commit has acknowledged are marked again first, so a retry
+// carries them too. The image keeps the returned Dirty and Sums, which
+// the caller must not modify, for CommitBase; a write after the encode
+// leaves its chunk marked for the next delta.
 func (im *Image) EncodeDelta() (Delta, []byte) {
-	cur := BuildManifest(im.data, im.chunkSize)
-	im.encMan = cur
-	dirty := Diff(im.baseMan, cur)
+	for _, i := range im.pending.Dirty {
+		im.dirty[i] = true
+	}
+	// Size Dirty, Sums and the payload once, for every marked chunk
+	// turning out dirty.
+	marked, total := 0, int64(0)
+	for i, d := range im.dirty {
+		if d {
+			lo, hi := chunkSpan(i, im.chunkSize, im.Size())
+			marked, total = marked+1, total+hi-lo
+		}
+	}
 	d := Delta{
 		BaseGen:   im.baseGen,
 		ChunkSize: im.chunkSize,
 		Size:      im.Size(),
-		Dirty:     dirty,
-		Sums:      make([]ChunkSum, len(dirty)),
+		Dirty:     make([]int, 0, marked),
+		Sums:      make([]ChunkSum, 0, marked),
 	}
-	for k, i := range dirty {
-		d.Sums[k] = cur.Sums[i]
+	payload := make([]byte, 0, total)
+	for i, dirty := range im.dirty {
+		if !dirty {
+			continue
+		}
+		im.dirty[i] = false
+		lo, hi := chunkSpan(i, im.chunkSize, im.Size())
+		sum := sumChunk(im.data[lo:hi])
+		if sum == im.baseMan.Sums[i] {
+			continue // the committed bytes, rewritten
+		}
+		d.Dirty = append(d.Dirty, i)
+		d.Sums = append(d.Sums, sum)
+		payload = append(payload, im.data[lo:hi]...)
 	}
-	return d, DeltaPayload(im.data, im.chunkSize, dirty)
+	im.pending, im.encoded = d, true
+	return d, payload
 }
 
-// CommitBase records that the server committed the current content as
-// generation gen; subsequent deltas are diffed against it. The base is
-// the content as EncodeDelta last hashed it — what the server holds —
-// and is hashed here only when the content was never encoded (a full
-// transfer with no delta attempt before it).
+// CommitBase records that the server committed generation gen;
+// subsequent deltas are diffed against it. After an encode the
+// committed content is the content as EncodeDelta hashed it — what a
+// delta carried — so its sums fold into the base and a chunk written
+// since stays marked. With no encode since the last commit a full
+// transfer carried the current content, and the marked chunks are
+// hashed here: every chunk for an image never committed, only the
+// written ones otherwise.
 func (im *Image) CommitBase(gen int) {
-	if im.encMan.ChunkSize == 0 {
-		im.encMan = BuildManifest(im.data, im.chunkSize)
+	if im.encoded {
+		for k, i := range im.pending.Dirty {
+			im.baseMan.Sums[i] = im.pending.Sums[k]
+		}
+	} else {
+		for i, dirty := range im.dirty {
+			if dirty {
+				lo, hi := chunkSpan(i, im.chunkSize, im.Size())
+				im.baseMan.Sums[i] = sumChunk(im.data[lo:hi])
+				im.dirty[i] = false
+			}
+		}
 	}
-	im.baseMan, im.encMan = im.encMan, Manifest{}
+	im.pending, im.encoded = Delta{}, false
 	im.baseGen = gen
 }
 
 // Adopt replaces the image content wholesale with data fetched from
 // the server during recovery, committed there as generation gen. The
-// image copies data.
+// image copies data into its own buffer, reused when large enough, and
+// hashes it whole; no chunk is marked.
 func (im *Image) Adopt(data []byte, gen int) {
-	im.data = make([]byte, len(data))
-	copy(im.data, data)
-	im.baseMan, im.encMan = BuildManifest(im.data, im.chunkSize), Manifest{}
+	im.data = append(im.data[:0], data...)
+	im.baseMan = BuildManifest(im.data, im.chunkSize)
+	im.dirty = make([]bool, len(im.baseMan.Sums))
+	im.pending, im.encoded = Delta{}, false
 	im.baseGen = gen
 }

@@ -7,9 +7,11 @@
 // DEFLATE pass squeezes the delta payload further when it helps.
 //
 // The package has a client half and a server half. The client half
-// (Image) owns a mutable image buffer, tracks the manifest of the last
-// image the server committed, and encodes deltas against it. The
-// server half (Store) keeps one committed image per job and applies
+// (Image) owns a mutable image buffer, marks the chunks written since
+// the last commit, tracks the manifest of the last image the server
+// committed, and encodes deltas against it from the marked chunks
+// alone. The server half (Store) keeps one committed image per job as
+// a list of immutable chunks shared between generations and applies
 // deltas atomically: a patch that references a stale base generation,
 // carries a malformed geometry, or fails per-chunk verification leaves
 // the last good image untouched — the same commit-or-Nack contract the
@@ -61,8 +63,10 @@ const (
 // sumChunk computes a chunk's content address. The hash takes eight
 // bytes per step, h·b⁸ + c₀·b⁷ + … + c₇: eight steps of h = h·b + c
 // multiplied out, so the value is the byte loop's, bit for bit, while
-// the eight products no longer wait on one another.
+// the eight products no longer wait on one another. Every call counts
+// in Metrics.ChunksHashed.
 func sumChunk(b []byte) ChunkSum {
+	Metrics.ChunksHashed.Inc()
 	crc := crc32.ChecksumIEEE(b)
 	var h uint64
 	for ; len(b) >= 8; b = b[8:] {
@@ -123,8 +127,61 @@ func BuildManifest(data []byte, chunkSize int) Manifest {
 		lo, hi := chunkSpan(i, chunkSize, m.Size)
 		m.Sums[i] = sumChunk(data[lo:hi])
 	}
-	Metrics.ChunksHashed.Add(uint64(n))
 	return m
+}
+
+// crcPoly is the IEEE CRC-32 polynomial in the reflected bit order
+// hash/crc32 uses: bit 31 is the coefficient of x⁰.
+const crcPoly = 0xedb88320
+
+// crcMulMod returns a·b modulo the IEEE polynomial, both operands and
+// the result in CRC-32's reflected bit order.
+func crcMulMod(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crcPoly
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// crcShift returns x^(8n) modulo the IEEE polynomial: multiplying a
+// CRC by it moves the CRC past n more bytes, the GF(2) shift operator
+// of zlib's crc32_combine. It squares x⁸ once per bit of n.
+func crcShift(n int64) uint32 {
+	p, sq := uint32(1)<<31, uint32(1)<<23 // x⁰ and x⁸
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			p = crcMulMod(sq, p)
+		}
+		sq = crcMulMod(sq, sq)
+	}
+	return p
+}
+
+// imageCRC returns the IEEE CRC-32 of the whole image m addresses,
+// combined from its chunks' CRCs without reading a byte:
+// crc(A‖B) = crc(A)·x^(8|B|) + crc(B), zlib's crc32_combine, which is
+// bit-identical to crc32.ChecksumIEEE over the concatenation. The shift
+// operator is computed once per chunk length — the full chunks share
+// one, the short final chunk has its own.
+func (m Manifest) imageCRC() uint32 {
+	var crc, shift uint32
+	shiftLen := int64(-1)
+	for i, s := range m.Sums {
+		lo, hi := chunkSpan(i, m.ChunkSize, m.Size)
+		if hi-lo != shiftLen {
+			shiftLen, shift = hi-lo, crcShift(hi-lo)
+		}
+		crc = crcMulMod(shift, crc) ^ s.CRC
+	}
+	return crc
 }
 
 // Compatible reports whether two manifests share chunk geometry, the
@@ -161,23 +218,6 @@ func Diff(prev, cur Manifest) []int {
 	// comparison above already catches that (a short chunk and its
 	// extended successor hash differently).
 	return dirty
-}
-
-// DeltaPayload concatenates the bytes of the dirty chunks in index
-// order — the raw wire payload of a delta transfer.
-func DeltaPayload(data []byte, chunkSize int, dirty []int) []byte {
-	size := int64(len(data))
-	var total int64
-	for _, i := range dirty {
-		lo, hi := chunkSpan(i, chunkSize, size)
-		total += hi - lo
-	}
-	out := make([]byte, 0, total)
-	for _, i := range dirty {
-		lo, hi := chunkSpan(i, chunkSize, size)
-		out = append(out, data[lo:hi]...)
-	}
-	return out
 }
 
 // Compress DEFLATEs payload and reports whether that actually won:

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/cycleharvest/ckptsched/internal/obs"
@@ -53,7 +54,9 @@ func TestDiffDirtyRegionStraddlingChunkBoundary(t *testing.T) {
 	prev := BuildManifest(im.Bytes(), cs)
 	// Dirty a region straddling the chunk 2/3 boundary: both chunks —
 	// and only those — must turn dirty.
-	copy(im.Bytes()[3*cs-16:3*cs+16], bytes.Repeat([]byte{0xAB}, 32))
+	if _, err := im.WriteAt(bytes.Repeat([]byte{0xAB}, 32), 3*cs-16); err != nil {
+		t.Fatal(err)
+	}
 	cur := BuildManifest(im.Bytes(), cs)
 	dirty := Diff(prev, cur)
 	if len(dirty) != 2 || dirty[0] != 2 || dirty[1] != 3 {
@@ -68,7 +71,9 @@ func TestDiffRewrittenIdenticalChunkDedups(t *testing.T) {
 	// Rewrite chunk 1 with its own bytes: content-addressing must see
 	// no change.
 	chunk := append([]byte(nil), im.Bytes()[cs:2*cs]...)
-	copy(im.Bytes()[cs:2*cs], chunk)
+	if _, err := im.WriteAt(chunk, cs); err != nil {
+		t.Fatal(err)
+	}
 	cur := BuildManifest(im.Bytes(), cs)
 	if dirty := Diff(prev, cur); len(dirty) != 0 {
 		t.Fatalf("identical rewrite: dirty=%v, want none", dirty)
@@ -373,8 +378,10 @@ func sameManifest(a, b Manifest) bool {
 // TestManifestsNeverDrift drives a client image and a store through
 // random checkpoint histories — clean deltas, Nack'd deltas resent
 // full, encodes abandoned mid-transfer, recoveries, lost bases, grown
-// and shrunk images — and after every step holds both manifests that
-// are no longer hashed from the bytes against ones that are.
+// and shrunk images, writes that do and do not change bytes — and
+// after every step holds the manifests and CRCs that are no longer
+// computed from the bytes against ones that are: the store's whole,
+// the client's on every chunk it does not hold as marked or pending.
 func TestManifestsNeverDrift(t *testing.T) {
 	const cs = 64
 	const job = "job"
@@ -388,7 +395,7 @@ func TestManifestsNeverDrift(t *testing.T) {
 		}
 		full()
 		for step := 0; step < 200; step++ {
-			op := rng.Intn(8)
+			op := rng.Intn(9)
 			switch {
 			case op == 0:
 				im.MutateFraction([]float64{0, 0.1, 0.5, 1}[rng.Intn(4)])
@@ -399,6 +406,9 @@ func TestManifestsNeverDrift(t *testing.T) {
 					t.Fatalf("seed %d step %d: honest delta refused: %v", seed, step, err)
 				}
 				im.CommitBase(gen)
+				if data, _, _, _, _ := s.Lookup(job); !bytes.Equal(data, im.Bytes()) {
+					t.Fatalf("seed %d step %d: store and client differ after a clean delta", seed, step)
+				}
 			case op == 2 && im.HasBase(): // delta torn in flight, Nack, full resend
 				d, payload := im.EncodeDelta()
 				if len(payload) == 0 {
@@ -419,86 +429,146 @@ func TestManifestsNeverDrift(t *testing.T) {
 			case op == 6: // the image grows or shrinks under the store's feet
 				resized := append([]byte(nil), im.Bytes()[:rng.Intn(len(im.Bytes())+1)]...)
 				resized = append(resized, NewImage(int64(rng.Intn(3*cs)), cs, rng.Int63()).Bytes()...)
-				_, man, gen, _, _ := s.Lookup(job)
+				_, man, gen, _, _ := s.Chunks(job)
 				cur := BuildManifest(resized, cs)
 				d := Delta{BaseGen: gen, ChunkSize: cs, Size: cur.Size, Dirty: Diff(man, cur)}
+				var payload []byte
 				for _, i := range d.Dirty {
 					d.Sums = append(d.Sums, cur.Sums[i])
+					lo, hi := chunkSpan(i, cs, cur.Size)
+					payload = append(payload, resized[lo:hi]...)
 				}
-				gen, _, err := s.ApplyDelta(job, d, DeltaPayload(resized, cs, d.Dirty))
+				gen, _, err := s.ApplyDelta(job, d, payload)
 				if err != nil {
 					t.Fatalf("seed %d step %d: resize %d→%d refused: %v", seed, step, man.Size, cur.Size, err)
 				}
 				im.Adopt(resized, gen)
+			case op == 8 && im.Size() > 0: // a write, half the time of the bytes already there
+				off := rng.Int63n(im.Size())
+				p := append([]byte(nil), im.Bytes()[off:off+rng.Int63n(im.Size()-off)+1]...)
+				if rng.Intn(2) == 0 {
+					rng.Read(p)
+				}
+				if n, err := im.WriteAt(p, off); n != len(p) || err != nil {
+					t.Fatalf("seed %d step %d: WriteAt(%d bytes, %d) = %d, %v", seed, step, len(p), off, n, err)
+				}
 			default: // op 7, or no base to delta against: a full image
 				full()
 			}
 
-			data, man, gen, crc, _ := s.Lookup(job)
+			chunks, man, gen, crc, _ := s.Chunks(job)
+			data, lman, lgen, lcrc, _ := s.Lookup(job)
+			if !bytes.Equal(bytes.Join(chunks, nil), data) || !sameManifest(man, lman) || gen != lgen || crc != lcrc {
+				t.Fatalf("seed %d step %d (op %d): Chunks and Lookup disagree", seed, step, op)
+			}
 			if !sameManifest(man, BuildManifest(data, cs)) || crc != crc32.ChecksumIEEE(data) {
 				t.Fatalf("seed %d step %d (op %d): store manifest drifted from its %d bytes", seed, step, op, len(data))
 			}
-			// Between a commit and the next mutation the client's base
-			// describes the client's bytes; whenever its generation is
-			// the store's, it describes the store's too.
-			if im.HasBase() && op != 0 && op != 3 && !sameManifest(im.baseMan, BuildManifest(im.Bytes(), cs)) {
-				t.Fatalf("seed %d step %d (op %d): client base manifest drifted from its bytes", seed, step, op)
+			// On every chunk the client neither marked nor shipped
+			// uncommitted, its base describes its bytes, and whenever its
+			// generation is the store's, the store's bytes too.
+			cur := BuildManifest(im.Bytes(), cs)
+			if im.baseMan.ChunkSize != cs || im.baseMan.Size != cur.Size || len(im.dirty) != len(cur.Sums) {
+				t.Fatalf("seed %d step %d (op %d): client base geometry %d/%d for a %d-byte image", seed, step, op, im.baseMan.ChunkSize, im.baseMan.Size, cur.Size)
 			}
-			if im.BaseGen() == gen && !sameManifest(im.baseMan, man) {
-				t.Fatalf("seed %d step %d (op %d): client and store disagree on generation %d", seed, step, op, gen)
+			for i, sum := range cur.Sums {
+				if im.dirty[i] || slices.Contains(im.pending.Dirty, i) {
+					continue
+				}
+				if im.baseMan.Sums[i] != sum {
+					t.Fatalf("seed %d step %d (op %d): client base drifted from its bytes at unmarked chunk %d", seed, step, op, i)
+				}
+				if im.BaseGen() == gen && im.baseMan.Sums[i] != man.Sums[i] {
+					t.Fatalf("seed %d step %d (op %d): client and store disagree on generation %d at unmarked chunk %d", seed, step, op, gen, i)
+				}
+			}
+			if im.BaseGen() == gen && man.Size != cur.Size {
+				t.Fatalf("seed %d step %d (op %d): client and store disagree on the size of generation %d", seed, step, op, gen)
 			}
 		}
 	}
 }
 
-// TestOneHashingPassPerCheckpoint counts BuildManifest's chunks over
-// one delta checkpoint — encode, apply, commit the base — and over
-// one full one: the image is hashed once by the client (EncodeDelta,
-// or CommitBase when nothing was encoded), the store hashes a full
-// image once and of a delta only the dirty chunks it verifies.
-func TestOneHashingPassPerCheckpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	Instrument(reg)
+// hashedBy returns how many chunk addresses f computed.
+func hashedBy(f func()) uint64 {
+	before := Metrics.ChunksHashed.Value()
+	f()
+	return Metrics.ChunksHashed.Value() - before
+}
+
+// TestDeltaHashesOnlyDirtyChunks counts chunk hashes, step by step,
+// over one full checkpoint and two delta ones. A full checkpoint
+// hashes every chunk once on each side: CommitFull in the store,
+// CommitBase on a client that encoded nothing. A delta hashes only
+// what was written: EncodeDelta the marked chunks — identical
+// rewrites among them, which dedup away — ApplyDelta the dirty chunks
+// it verifies, and CommitBase nothing.
+func TestDeltaHashesOnlyDirtyChunks(t *testing.T) {
+	Instrument(obs.NewRegistry())
 	defer Instrument(nil)
 	const cs = 1024
 	s := NewStore()
 	im := NewImage(32*cs+100, cs, 16)
 	n := uint64(NumChunks(im.Size(), cs))
 
-	gen, _, _ := s.CommitFull("job", im.Bytes(), cs)
-	im.CommitBase(gen)
-	if got := Metrics.ChunksHashed.Value(); got != 2*n {
-		t.Fatalf("full checkpoint hashed %d chunks, want %d (store once, client once)", got, 2*n)
+	var gen int
+	if got := hashedBy(func() { gen, _, _ = s.CommitFull("job", im.Bytes(), cs) }); got != n {
+		t.Fatalf("CommitFull hashed %d chunks, want %d", got, n)
+	}
+	if got := hashedBy(func() { im.CommitBase(gen) }); got != n {
+		t.Fatalf("first CommitBase hashed %d chunks, want %d", got, n)
 	}
 
-	im.MutateFraction(0.25)
-	before := Metrics.ChunksHashed.Value()
-	d, payload := im.EncodeDelta()
-	gen, _, err := s.ApplyDelta("job", d, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im.CommitBase(gen)
-	if got := Metrics.ChunksHashed.Value() - before; got != n {
-		t.Fatalf("delta checkpoint hashed %d chunks in BuildManifest, want %d (one pass)", got, n)
+	for _, rewrite := range []bool{false, true} {
+		im.MutateFraction(0.25)
+		if rewrite { // chunk 2 and the short final chunk, with their own bytes
+			im.WriteAt(slices.Clone(im.Bytes()[2*cs:3*cs]), 2*cs)
+			im.WriteAt(slices.Clone(im.Bytes()[32*cs:]), 32*cs)
+		}
+		marked := 0
+		for _, d := range im.dirty {
+			if d {
+				marked++
+			}
+		}
+		var d Delta
+		var payload []byte
+		if got := hashedBy(func() { d, payload = im.EncodeDelta() }); got != uint64(marked) {
+			t.Fatalf("EncodeDelta hashed %d chunks, want the %d marked", got, marked)
+		}
+		if got := hashedBy(func() { gen, _, _ = s.ApplyDelta("job", d, payload) }); got != uint64(len(d.Dirty)) {
+			t.Fatalf("ApplyDelta hashed %d chunks, want the %d dirty", got, len(d.Dirty))
+		}
+		if got := hashedBy(func() { im.CommitBase(gen) }); got != 0 {
+			t.Fatalf("CommitBase after an encode hashed %d chunks, want 0", got)
+		}
+		if data, _, _, _, _ := s.Lookup("job"); !bytes.Equal(data, im.Bytes()) {
+			t.Fatal("store and client differ after the delta")
+		}
 	}
 }
 
-// TestWriteThroughBytesAfterEncodeShipsNextDelta pins the Bytes
-// contract: the committed base is the content EncodeDelta hashed, so a
-// write through the alias between encode and commit — bytes the
-// manager never received — is dirty in the next delta instead of being
-// recorded as committed.
-func TestWriteThroughBytesAfterEncodeShipsNextDelta(t *testing.T) {
+// TestWriteAtAfterEncodeShipsNextDelta pins the dirty-mark contract:
+// the committed base is the content EncodeDelta hashed, so a write
+// between encode and commit — bytes the manager never received — stays
+// marked and ships in the next delta instead of being recorded as
+// committed.
+func TestWriteAtAfterEncodeShipsNextDelta(t *testing.T) {
 	const cs = 512
 	s := NewStore()
 	im := NewImage(8*cs, cs, 17)
 	gen, _, _ := s.CommitFull("job", im.Bytes(), cs)
 	im.CommitBase(gen)
 
-	im.Bytes()[0] ^= 0xFF // dirties chunk 0
+	flip := func(off int64) {
+		t.Helper()
+		if _, err := im.WriteAt([]byte{im.Bytes()[off] ^ 0xFF}, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip(0) // dirties chunk 0
 	d, payload := im.EncodeDelta()
-	im.Bytes()[5*cs] ^= 0xFF // after the encode: chunk 5 is not in d
+	flip(5 * cs) // after the encode: chunk 5 is not in d
 	gen, _, err := s.ApplyDelta("job", d, payload)
 	if err != nil {
 		t.Fatal(err)
@@ -514,5 +584,150 @@ func TestWriteThroughBytesAfterEncodeShipsNextDelta(t *testing.T) {
 	}
 	if data, _, _, _, _ := s.Lookup("job"); !bytes.Equal(data, im.Bytes()) {
 		t.Fatal("store and client differ after the late write was shipped")
+	}
+}
+
+// TestRetryReencodesPendingChunks pins the retry contract: a delta
+// that was encoded but never acknowledged — Nacked, or lost with its
+// connection — leaves its chunks pending, and the next encode ships
+// them again beside anything written since.
+func TestRetryReencodesPendingChunks(t *testing.T) {
+	const cs = 256
+	s := NewStore()
+	im := NewImage(8*cs, cs, 18)
+	gen, _, _ := s.CommitFull("job", im.Bytes(), cs)
+	im.CommitBase(gen)
+
+	im.WriteAt([]byte{1, 2, 3}, 2*cs)
+	if d, _ := im.EncodeDelta(); !slices.Equal(d.Dirty, []int{2}) {
+		t.Fatalf("first encode: dirty=%v, want [2]", d.Dirty)
+	}
+	im.WriteAt([]byte{4, 5, 6}, 6*cs)
+	d, payload := im.EncodeDelta()
+	if !slices.Equal(d.Dirty, []int{2, 6}) {
+		t.Fatalf("retry: dirty=%v, want [2 6], the pending chunk and the new write", d.Dirty)
+	}
+	if gen, _, err := s.ApplyDelta("job", d, payload); err != nil {
+		t.Fatal(err)
+	} else {
+		im.CommitBase(gen)
+	}
+	if d, _ := im.EncodeDelta(); len(d.Dirty) != 0 {
+		t.Fatalf("after the commit: dirty=%v, want none", d.Dirty)
+	}
+}
+
+func TestWriteAtBounds(t *testing.T) {
+	im := NewImage(100, 16, 19)
+	for _, tc := range []struct {
+		off  int64
+		n    int
+		fail bool
+	}{{0, 100, false}, {99, 1, false}, {100, 0, false}, {-1, 1, true}, {99, 2, true}, {101, 0, true}} {
+		n, err := im.WriteAt(make([]byte, tc.n), tc.off)
+		if (err != nil) != tc.fail || (err == nil && n != tc.n) {
+			t.Errorf("WriteAt(%d bytes, %d) = %d, %v; want failure %v", tc.n, tc.off, n, err, tc.fail)
+		}
+	}
+}
+
+// TestCommittedViewsAreImmutable holds a Lookup slice and a chunk list
+// taken at one generation while other goroutines keep committing
+// deltas, full images and joins: the views taken before must read the
+// same bytes after. Run under -race it also shows that no commit writes
+// memory a reader may hold.
+func TestCommittedViewsAreImmutable(t *testing.T) {
+	const cs = 512
+	s := NewStore()
+	im := NewImage(40*cs+7, cs, 20)
+	gen, _, _ := s.CommitFull("job", im.Bytes(), cs)
+	im.CommitBase(gen)
+	im.MutateFraction(0.3)
+	d, payload := im.EncodeDelta()
+	if gen, _, err := s.ApplyDelta("job", d, payload); err != nil {
+		t.Fatal(err)
+	} else {
+		im.CommitBase(gen)
+	}
+
+	chunks, _, _, _, _ := s.Chunks("job") // a delta commit's chunks, in two buffers
+	data, _, _, _, _ := s.Lookup("job")   // joined once for this generation
+	want := bytes.Clone(data)
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the writer: deltas and the occasional full image
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			im.MutateFraction(0.2)
+			if i%10 == 9 {
+				gen, _, _ := s.CommitFull("job", im.Bytes(), cs)
+				im.CommitBase(gen)
+				continue
+			}
+			d, payload := im.EncodeDelta()
+			gen, _, err := s.ApplyDelta("job", d, payload)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			im.CommitBase(gen)
+		}
+	}()
+	go func() { // a second reader joining whatever generation it finds
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			s.Lookup("job")
+		}
+	}()
+	for i := 0; i < 40; i++ { // this reader rereads its old views
+		if !bytes.Equal(bytes.Join(chunks, nil), want) || !bytes.Equal(data, want) {
+			t.Error("a view taken before the commits changed")
+			break
+		}
+	}
+	wg.Wait()
+	if !bytes.Equal(bytes.Join(chunks, nil), want) || !bytes.Equal(data, want) {
+		t.Fatal("a view taken before the commits changed")
+	}
+	if data, _, _, _, _ := s.Lookup("job"); !bytes.Equal(data, im.Bytes()) {
+		t.Fatal("store and client differ after the commits")
+	}
+}
+
+// TestStoreMemoryStaysBounded commits many small deltas and checks that
+// the payload buffers superseded generations may keep alive never
+// outweigh the image: the store copies the image flat again first.
+func TestStoreMemoryStaysBounded(t *testing.T) {
+	const cs = 256
+	s := NewStore()
+	im := NewImage(64*cs, cs, 21)
+	gen, _, _ := s.CommitFull("job", im.Bytes(), cs)
+	im.CommitBase(gen)
+	flats := 0
+	for i := 0; i < 100; i++ {
+		im.MutateFraction(0.07)
+		d, payload := im.EncodeDelta()
+		gen, _, err := s.ApplyDelta("job", d, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im.CommitBase(gen)
+		s.mu.Lock()
+		st := s.images["job"]
+		s.mu.Unlock()
+		if st.loose > st.man.Size {
+			t.Fatalf("delta %d: %d loose payload bytes for a %d-byte image", i, st.loose, st.man.Size)
+		}
+		if st.flat != nil {
+			flats++
+			if !bytes.Equal(st.flat, im.Bytes()) {
+				t.Fatalf("delta %d: the flat copy differs from the image", i)
+			}
+		}
+	}
+	// 5 of 64 chunks a delta: flat again every 13th or so.
+	if flats < 5 || flats > 10 {
+		t.Fatalf("%d of 100 deltas left the image flat, want 5–10", flats)
 	}
 }

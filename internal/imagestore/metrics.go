@@ -6,7 +6,8 @@ import "github.com/cycleharvest/ckptsched/internal/obs"
 // nil-safe obs counters, so the store runs at full speed with no
 // registry attached (the internal/obs contract).
 var Metrics struct {
-	// ChunksHashed counts chunk addresses computed by BuildManifest.
+	// ChunksHashed counts chunk addresses computed: by BuildManifest,
+	// EncodeDelta, CommitBase, and ApplyDelta's verification.
 	ChunksHashed *obs.Counter
 	// DeltaCommits counts successful delta applications.
 	DeltaCommits *obs.Counter

@@ -3,7 +3,7 @@ package imagestore
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"slices"
 	"sync"
 )
 
@@ -53,14 +53,36 @@ var (
 	ErrBadDelta = errors.New("imagestore: invalid delta")
 )
 
-// stored is one job's committed image. Its data slice is never
-// mutated in place — commits build a fresh slice and swap — so readers
-// holding a slice returned by Lookup are safe across later commits.
+// stored is one job's committed image, held as its chunks. A chunk is
+// never written after its commit, so a later generation shares every
+// chunk it does not patch, and readers holding a chunk list or a
+// Lookup slice are safe across later commits.
 type stored struct {
-	gen  int
-	data []byte
-	man  Manifest
-	crc  uint32 // IEEE CRC32 of data
+	gen    int
+	chunks [][]byte // chunk i holds the bytes man.Sums[i] addresses
+	// flat is the image as one slice the chunks are consecutive windows
+	// of, or nil while the chunks lie in several buffers (a delta
+	// commit's payload beside its base's). loose counts the payload
+	// bytes installed since the image was last flat: a bound on what
+	// superseded generations' buffers may keep alive for a few
+	// surviving chunks.
+	flat  []byte
+	loose int64
+	man   Manifest
+	crc   uint32 // IEEE CRC32 of the image
+}
+
+// flatten copies chunks, an image of size bytes, into one new buffer
+// and points each chunk at its window there, releasing the buffers
+// the chunks held before.
+func flatten(chunks [][]byte, size int64) []byte {
+	flat := make([]byte, 0, size)
+	for i, c := range chunks {
+		lo := len(flat)
+		flat = append(flat, c...)
+		chunks[i] = flat[lo:len(flat):len(flat)]
+	}
+	return flat
 }
 
 // Store holds the last committed checkpoint image of every job, with
@@ -76,14 +98,38 @@ func NewStore() *Store {
 	return &Store{images: make(map[string]stored)}
 }
 
-// Lookup returns the committed image of a job: its content, manifest,
-// generation, and whole-image CRC. The returned slice aliases the
-// committed image and must not be modified.
+// Lookup returns the committed image of a job as one slice, with its
+// manifest, generation and whole-image CRC. The slice must not be
+// modified. When a delta commit left the chunks in several buffers, the
+// first Lookup of that generation joins them, and the chunks are then
+// windows of the joined slice.
 func (s *Store) Lookup(job string) (data []byte, man Manifest, gen int, crc uint32, ok bool) {
+	s.mu.Lock()
+	st, ok := s.images[job]
+	s.mu.Unlock()
+	if ok && st.flat == nil {
+		// Join outside the lock, into a fresh chunk list: the committed
+		// one may be in a reader's hands.
+		st.chunks = slices.Clone(st.chunks)
+		st.flat, st.loose = flatten(st.chunks, st.man.Size), 0
+		s.mu.Lock()
+		if cur := s.images[job]; cur.gen == st.gen && cur.flat == nil {
+			s.images[job] = st
+		}
+		s.mu.Unlock()
+	}
+	return st.flat, st.man, st.gen, st.crc, ok
+}
+
+// Chunks returns the committed image of a job as its chunk list, with
+// its manifest, generation and whole-image CRC, without joining it.
+// Neither the list nor a chunk may be modified; both stay valid, and
+// unchanged, across later commits.
+func (s *Store) Chunks(job string) (chunks [][]byte, man Manifest, gen int, crc uint32, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.images[job]
-	return st.data, st.man, st.gen, st.crc, ok
+	return st.chunks, st.man, st.gen, st.crc, ok
 }
 
 // Generation returns the committed generation of a job (0 = none).
@@ -95,17 +141,23 @@ func (s *Store) Generation(job string) int {
 
 // CommitFull replaces a job's image wholesale. The store copies data,
 // so the caller may reuse its buffer. Returns the new generation and
-// the committed manifest and CRC.
+// the committed manifest and CRC; the CRC is combined from the chunk
+// CRCs the manifest holds, so the image is read once.
 func (s *Store) CommitFull(job string, data []byte, chunkSize int) (gen int, man Manifest, crc uint32) {
 	own := make([]byte, len(data))
 	copy(own, data)
 	man = BuildManifest(own, chunkSize)
-	crc = crc32.ChecksumIEEE(own)
+	crc = man.imageCRC()
+	chunks := make([][]byte, len(man.Sums))
+	for i := range chunks {
+		lo, hi := chunkSpan(i, man.ChunkSize, man.Size)
+		chunks[i] = own[lo:hi:hi]
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.images[job]
 	st.gen++
-	st.data, st.man, st.crc = own, man, crc
+	st.chunks, st.flat, st.loose, st.man, st.crc = chunks, own, 0, man, crc
 	s.images[job] = st
 	Metrics.FullCommits.Inc()
 	return st.gen, man, crc
@@ -116,7 +168,11 @@ func (s *Store) CommitFull(job string, data []byte, chunkSize int) (gen int, man
 // base generation, chunk geometry, dirty-set shape, payload length,
 // per-chunk content-address verification — passes before the new image
 // replaces the old one, and any failure returns a named error with the
-// last good image intact.
+// last good image intact. The work is O(dirty chunks): the new image
+// shares the base's retained chunks, its dirty chunks are windows of
+// payload, and its CRC is combined from the manifest's chunk CRCs. A
+// committed delta therefore keeps payload, which the caller hands over
+// and must not modify afterwards.
 func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc uint32, err error) {
 	s.mu.Lock()
 	base, ok := s.images[job]
@@ -157,20 +213,20 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 	// Build the new image and its manifest: start from the base's,
 	// resize, patch. A dirty chunk's sum is verified against its bytes
 	// below; a retained chunk keeps bytes and sum alike.
-	data := make([]byte, d.Size)
-	copy(data, base.data)
+	chunks := make([][]byte, n)
+	copy(chunks, base.chunks)
 	man := Manifest{ChunkSize: d.ChunkSize, Size: d.Size, Sums: make([]ChunkSum, n)}
 	copy(man.Sums, base.man.Sums)
 	off := int64(0)
 	for k, i := range d.Dirty {
 		lo, hi := chunkSpan(i, d.ChunkSize, d.Size)
-		chunk := payload[off : off+hi-lo]
+		chunk := payload[off : off+hi-lo : off+hi-lo]
 		off += hi - lo
 		if sumChunk(chunk) != d.Sums[k] {
 			Metrics.RejectedDeltas.Inc()
 			return 0, 0, fmt.Errorf("%w: chunk %d failed content-address verification", ErrBadDelta, i)
 		}
-		copy(data[lo:hi], chunk)
+		chunks[i] = chunk
 		man.Sums[i] = d.Sums[k]
 	}
 	// Every retained chunk must mean the same bytes it meant in the
@@ -189,7 +245,20 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 		}
 	}
 
-	crc = crc32.ChecksumIEEE(data)
+	crc = man.imageCRC()
+	// A delta patching every chunk leaves the payload as the image.
+	// Otherwise the superseded buffers live on in the chunks that
+	// survive, so once the payloads since the image was last flat
+	// outweigh it, it is copied flat again: memory stays within twice
+	// the image at one copy per image-size of payload.
+	var flat []byte
+	loose := base.loose + int64(len(payload))
+	switch {
+	case len(d.Dirty) == n:
+		flat, loose = payload, 0
+	case loose > d.Size:
+		flat, loose = flatten(chunks, d.Size), 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.images[job]
@@ -199,7 +268,7 @@ func (s *Store) ApplyDelta(job string, d Delta, payload []byte) (gen int, crc ui
 		return 0, 0, fmt.Errorf("%w: base superseded during apply", ErrBaseMismatch)
 	}
 	cur.gen++
-	cur.data, cur.man, cur.crc = data, man, crc
+	cur.chunks, cur.flat, cur.loose, cur.man, cur.crc = chunks, flat, loose, man, crc
 	s.images[job] = cur
 	Metrics.DeltaCommits.Inc()
 	return cur.gen, crc, nil
